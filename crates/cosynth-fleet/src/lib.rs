@@ -317,6 +317,12 @@ pub struct PoolCounters {
     /// Managers dropped (never recycled) because the session that owned
     /// them panicked — see `VerifierContext::quarantine`.
     pub quarantined: usize,
+    /// Repair sessions whose clean snapshot came from the worker's
+    /// cache (`VerifierContext::clean_snapshot`).
+    pub snapshot_hits: usize,
+    /// Repair sessions that rendered and classified their clean
+    /// snapshot.
+    pub snapshot_misses: usize,
 }
 
 impl PoolCounters {
@@ -331,6 +337,8 @@ impl PoolCounters {
         let (hits, misses) = ctx.cache_totals();
         self.cache_hits += hits;
         self.cache_misses += misses;
+        self.snapshot_hits += ctx.snapshot_hits;
+        self.snapshot_misses += ctx.snapshot_misses;
     }
 
     /// Fraction of space builds served by a recycled manager.
@@ -558,6 +566,8 @@ pub fn bench_prelude<U: UseCase>(
     let _ = writeln!(out, "    \"peak_nodes\": {},", p.peak_nodes);
     let _ = writeln!(out, "    \"space_cache_hits\": {},", p.cache_hits);
     let _ = writeln!(out, "    \"space_cache_misses\": {},", p.cache_misses);
+    let _ = writeln!(out, "    \"snapshot_hits\": {},", p.snapshot_hits);
+    let _ = writeln!(out, "    \"snapshot_misses\": {},", p.snapshot_misses);
     match report.baseline_sessions_per_s {
         Some(fresh) => {
             let _ = writeln!(out, "    \"sessions_per_s_fresh\": {fresh:.2},");

@@ -397,9 +397,20 @@ fn handle_conn(stream: TcpStream, core: &Core<'_>, conn_id: u64) {
 fn read_lines(mut stream: TcpStream, core: &Core<'_>, mut handle: impl FnMut(&str) -> bool) {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
+    let mut last_read = false;
     'outer: loop {
-        if core.draining.load(Relaxed) {
+        if last_read {
             break;
+        }
+        if core.draining.load(Relaxed) {
+            // Requests the peer sent before the drain began can still sit
+            // unread in the socket buffer (this connection's reader may
+            // not have run yet): take one more chunk without waiting, so
+            // they are served rather than silently dropped.
+            last_read = true;
+            if stream.set_nonblocking(true).is_err() {
+                break;
+            }
         }
         match stream.read(&mut chunk) {
             Ok(0) => break,

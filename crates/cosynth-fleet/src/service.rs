@@ -1136,6 +1136,8 @@ pub fn serve(
             .u64("peak_nodes", p.peak_nodes as u64)
             .u64("space_cache_hits", p.cache_hits as u64)
             .u64("space_cache_misses", p.cache_misses as u64)
+            .u64("snapshot_hits", p.snapshot_hits as u64)
+            .u64("snapshot_misses", p.snapshot_misses as u64)
             .finish()
     )?;
     output.flush()?;

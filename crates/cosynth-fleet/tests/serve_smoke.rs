@@ -73,6 +73,18 @@ fn serve_runs_a_mixed_batch_and_drains_cleanly() {
         reuses > 0,
         "resident pool must recycle across batches: {drain}"
     );
+    // Every repair session asks its worker's clean-snapshot cache once.
+    let snapshot = |key: &str| {
+        parsed
+            .get(key)
+            .and_then(|v| v.as_u32())
+            .unwrap_or_else(|| panic!("drain reports {key}: {drain}"))
+    };
+    assert_eq!(
+        snapshot("snapshot_hits") + snapshot("snapshot_misses"),
+        4,
+        "{drain}"
+    );
 }
 
 #[test]

@@ -160,6 +160,39 @@ fn concurrent_clients_share_the_daemon_and_fold_per_tenant_counters() {
 }
 
 #[test]
+fn deeply_nested_request_line_is_rejected_without_killing_the_daemon() {
+    let daemon = start_daemon(
+        ServeOptions {
+            threads: 2,
+            ..Default::default()
+        },
+        false,
+    );
+    // 50,000 nested arrays used to overflow the reader's stack and abort
+    // the whole process; now it is one typed bad_json reject.
+    let deep = "[".repeat(50_000);
+    let lines = transact(
+        daemon.addr,
+        &[&deep, "{\"use_case\":\"synthesis\",\"seed\":1,\"count\":1}"],
+    );
+    let reject = lines
+        .iter()
+        .find(|v| event(v, "reject"))
+        .expect("reject line");
+    assert_eq!(reject.get("code"), Some(&Json::Str("bad_json".into())));
+    let batch = lines.iter().find(|v| event(v, "batch")).expect("batch");
+    assert_eq!(num(batch, "completed"), 1, "the next request still runs");
+    let drain = lines.iter().find(|v| event(v, "drain")).expect("drain");
+    assert_eq!(num(drain, "protocol_errors"), 1);
+    assert_eq!(drain.get("accounted"), Some(&Json::Bool(true)), "{drain:?}");
+
+    transact(daemon.addr, &["{\"shutdown\":true}"]);
+    let summary = daemon.handle.join().unwrap().expect("daemon I/O ok");
+    assert_eq!(summary.sessions, 1, "{summary:?}");
+    assert!(summary.accounted(), "{summary:?}");
+}
+
+#[test]
 fn shutdown_drains_in_flight_batches_without_losing_or_double_counting() {
     let daemon = start_daemon(
         ServeOptions {

@@ -48,8 +48,10 @@
 //! * [`SessionStatics`] — the assignments, the per-device memo-key
 //!   bases, the name→index map, and the dependency tracker — is a pure
 //!   function of `(topology, policies)` and is shared through an `Arc`
-//!   in the worker memo; a later session pays one streamed hash of the
-//!   topology instead of re-deriving ~n prompts and keys.
+//!   in the context's clean-snapshot cache, which is keyed exactly on
+//!   that pair ([`VerifierContext::clean_snapshot`]); a later session
+//!   pays one compare of the topology instead of re-deriving ~n prompts
+//!   and keys.
 //! * [`VerdictMemo`] keeps per-device local/campion verdicts and whole
 //!   `GlobalCheckReport`s keyed by content fingerprints, so a warm
 //!   worker answers the sweeps and the final simulation of session
@@ -86,6 +88,7 @@ use bdd::FxHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::hash::{Hash as _, Hasher as _};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use topo_model::Scenario;
 
@@ -223,9 +226,9 @@ struct DeviceKeys {
 /// function of `(topology, policies)`: the modular assignments, the
 /// per-device memo-key bases, the assignment index of each router, and
 /// the dependency tracker. Built once per `(topology, policies)` per
-/// worker and shared via `Arc` — a session on a pinned family pays one
-/// streamed topology hash instead of re-deriving ~n prompts, keys, and
-/// adjacency lists.
+/// worker and shared via `Arc` from the context's clean-snapshot cache
+/// — a session on a pinned family pays one topology compare instead of
+/// re-deriving ~n prompts, keys, and adjacency lists.
 pub(crate) struct SessionStatics {
     assignments: Arc<Vec<RouterAssignment>>,
     /// Memo-key bases, aligned with `assignments`.
@@ -236,8 +239,19 @@ pub(crate) struct SessionStatics {
 }
 
 impl SessionStatics {
-    fn build(scenario: &Scenario) -> Self {
-        let assignments = Modularizer::assign_scenario(scenario);
+    /// Builds the statics of `scenario`. `sibling`, statics of the same
+    /// topology under other policies, lends its prompt to every router
+    /// whose prompt is equal (all but the few the policies touch).
+    pub(crate) fn build(scenario: &Scenario, sibling: Option<&SessionStatics>) -> Self {
+        let mut assignments = Modularizer::assign_scenario(scenario);
+        if let Some(sibling) = sibling {
+            for a in &mut assignments {
+                let theirs = sibling.index.get(&a.name).map(|&i| &sibling.assignments[i]);
+                if let Some(theirs) = theirs.filter(|t| t.prompt == a.prompt) {
+                    a.prompt = Arc::clone(&theirs.prompt);
+                }
+            }
+        }
         let spec_hash: HashMap<&str, u64> = scenario
             .topology
             .routers
@@ -282,18 +296,83 @@ impl SessionStatics {
             tracker: DependencyTracker::new(scenario),
         }
     }
+
+    /// The scenario's modular assignments.
+    pub(crate) fn assignments(&self) -> &[RouterAssignment] {
+        &self.assignments
+    }
 }
 
-/// Entries per cross-session verdict map before the map is cleared
-/// wholesale. A worker pinned to one large family needs one entry per
-/// device per distinct config text — a few thousand covers every family
-/// with room for the faulted/repaired variants; clearing on overflow
-/// only costs recomputation, never correctness.
-const CROSS_CAP: usize = 4096;
+/// Entries per cross-session verdict map, per device of the largest
+/// network the worker has verified. One repair session touches about
+/// one entry per device per map (local verdicts 1.1–1.3, the others
+/// fewer), so twice the device count holds the session in flight plus
+/// the previous one, while bounding the memo's memory by the network
+/// it serves.
+const CROSS_PER_DEVICE: usize = 2;
 
-/// Distinct `(topology, policies)` bundles kept per worker — one per
-/// family the worker has seen.
-const STATICS_CAP: usize = 64;
+/// Smallest cross-session map capacity, for the small families.
+const CROSS_FLOOR: usize = 256;
+
+/// A cross-session verdict map bounded by recency of use, counted in
+/// sessions. Every lookup and insert stamps its entry with the current
+/// session. An insert into a full map drops the entries not touched in
+/// this session or the previous one: on a warm worker, the faulted and
+/// mid-repair texts written once. When the survivors would still fill
+/// more than three quarters of the map, only this session's entries are
+/// kept, and if even those would, the map is cleared; so each eviction
+/// frees at least a quarter of the map (inserts stay amortized O(1)),
+/// and a session never loses what it wrote itself unless it alone
+/// overflows the map. Eviction only costs recomputation, never
+/// correctness. The stamps are atomics so sweeps on scoped threads can
+/// read the map through a shared reference.
+struct Bounded<V> {
+    map: HashMap<MemoKey, (V, AtomicUsize)>,
+    cap: usize,
+    /// The session in flight, as counted by [`VerdictMemo::begin_session`].
+    session: usize,
+}
+
+impl<V> Default for Bounded<V> {
+    fn default() -> Self {
+        Bounded {
+            map: HashMap::new(),
+            cap: CROSS_FLOOR,
+            session: 0,
+        }
+    }
+}
+
+impl<V> Bounded<V> {
+    fn get(&self, key: &MemoKey) -> Option<&V> {
+        let (value, touched) = self.map.get(key)?;
+        touched.store(self.session, Relaxed);
+        Some(value)
+    }
+
+    fn insert(&mut self, key: MemoKey, value: V) {
+        if self.map.len() >= self.cap {
+            let now = self.session;
+            let room = self.cap * 3 / 4;
+            self.map.retain(|_, (_, t)| *t.get_mut() + 1 >= now);
+            if self.map.len() > room {
+                self.map.retain(|_, (_, t)| *t.get_mut() == now);
+            }
+            if self.map.len() > room {
+                self.map.clear();
+            }
+        }
+        self.map
+            .insert(key, (value, AtomicUsize::new(self.session)));
+    }
+
+    /// Opens the next session, growing the capacity to fit a network of
+    /// `devices` routers.
+    fn begin_session(&mut self, devices: usize) {
+        self.session += 1;
+        self.cap = self.cap.max(CROSS_PER_DEVICE * devices);
+    }
+}
 
 /// The **worker-lifetime** verdict memo, resident in the
 /// [`VerifierContext`] next to the manager pool.
@@ -316,14 +395,14 @@ const STATICS_CAP: usize = 64;
 /// placements.
 #[derive(Default)]
 pub(crate) struct VerdictMemo {
-    local: HashMap<(u64, u64), CachedLocal>,
-    campion: HashMap<(u64, u64), Option<Localization>>,
+    local: Bounded<CachedLocal>,
+    campion: Bounded<Option<Localization>>,
     /// Whole-network check reports, keyed on `(topology + expectations,
     /// every internal config text)` — `check_scenario` is pure in
     /// exactly those inputs, so sessions that converge back to the same
     /// snapshot (the common case: a repair restores the reference text)
     /// share one simulation.
-    global: HashMap<(u64, u64), crate::composer::GlobalCheckReport>,
+    global: Bounded<crate::composer::GlobalCheckReport>,
     /// Whole-sweep localizations, keyed on `(topology + policies, every
     /// internal config text)`. The sweep is pure in exactly those
     /// inputs (assignment order, checks, and prompts all derive from
@@ -331,10 +410,7 @@ pub(crate) struct VerdictMemo {
     /// — above all the per-intent reference snapshot every converging
     /// session ends on, whose clean sweep is the costliest scan of the
     /// session — returns its verdict for the cost of hashing the texts.
-    sweep: HashMap<(u64, u64), Option<Localization>>,
-    /// Scenario-static bundles, keyed on `(topology fingerprint,
-    /// policies fingerprint)`.
-    statics: HashMap<(u64, u64), Arc<SessionStatics>>,
+    sweep: Bounded<Option<Localization>>,
     /// Sweep verdicts answered from the memo.
     pub(crate) hits: usize,
     /// Sweep verdicts computed (and inserted).
@@ -342,39 +418,12 @@ pub(crate) struct VerdictMemo {
 }
 
 impl VerdictMemo {
-    fn insert_local(&mut self, key: (u64, u64), entry: CachedLocal) {
-        if self.local.len() >= CROSS_CAP {
-            self.local.clear();
-        }
-        self.local.insert(key, entry);
-    }
-
-    fn insert_campion(&mut self, key: (u64, u64), verdict: Option<Localization>) {
-        if self.campion.len() >= CROSS_CAP {
-            self.campion.clear();
-        }
-        self.campion.insert(key, verdict);
-    }
-
-    fn insert_global(&mut self, key: (u64, u64), report: crate::composer::GlobalCheckReport) {
-        if self.global.len() >= CROSS_CAP {
-            self.global.clear();
-        }
-        self.global.insert(key, report);
-    }
-
-    fn insert_sweep(&mut self, key: (u64, u64), verdict: Option<Localization>) {
-        if self.sweep.len() >= CROSS_CAP {
-            self.sweep.clear();
-        }
-        self.sweep.insert(key, verdict);
-    }
-
-    fn insert_statics(&mut self, key: (u64, u64), statics: Arc<SessionStatics>) {
-        if self.statics.len() >= STATICS_CAP {
-            self.statics.clear();
-        }
-        self.statics.insert(key, statics);
+    /// Opens a repair session on a network of `devices` routers.
+    fn begin_session(&mut self, devices: usize) {
+        self.local.begin_session(devices);
+        self.campion.begin_session(devices);
+        self.global.begin_session(devices);
+        self.sweep.begin_session(devices);
     }
 }
 
@@ -423,32 +472,18 @@ fn worker_count(items: usize) -> usize {
 
 impl IncrementalVerifier {
     pub(crate) fn new(scenario: &Scenario, parallel: bool, ctx: &mut VerifierContext) -> Self {
-        // The topology fingerprint is the session's only O(network)
-        // hashing cost; everything derived from it comes out of the
-        // worker memo on a pinned family. Field-walk hashing via the
-        // derived `Hash` impls — an order of magnitude cheaper than
-        // rendering `Debug` text at 512 routers.
+        // The statics and the `(topology, policies)` fingerprints come
+        // out of the context's clean-snapshot cache: on a pinned family
+        // the session pays one topology compare, no O(network) hashing.
+        let (statics, skey) = ctx.session_statics(scenario);
         let mut h = FxHasher::default();
-        scenario.topology.routers.hash(&mut h);
-        let topo_hash = h.finish();
-        let mut p = FxHasher::default();
-        scenario.policies.hash(&mut p);
-        let skey = (topo_hash, p.finish());
-        let statics = match ctx.memo.statics.get(&skey) {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = Arc::new(SessionStatics::build(scenario));
-                ctx.memo.insert_statics(skey, Arc::clone(&s));
-                s
-            }
-        };
-        let mut h = FxHasher::default();
-        h.write(&topo_hash.to_le_bytes());
+        h.write(&skey.0.to_le_bytes());
         scenario.expectations.hash(&mut h);
         let mut sb = FxHasher::default();
         sb.write(&skey.0.to_le_bytes());
         sb.write(&skey.1.to_le_bytes());
         let n = statics.assignments.len();
+        ctx.memo.begin_session(n);
         IncrementalVerifier {
             statics,
             parallel,
@@ -505,7 +540,7 @@ impl IncrementalVerifier {
             }
             crate::composer::parse_internal(name, text)
         });
-        ctx.memo.insert_global(key, report.clone());
+        ctx.memo.global.insert(key, report.clone());
         report
     }
 
@@ -549,7 +584,7 @@ impl IncrementalVerifier {
             return v.clone();
         }
         let verdict = self.localize_uncached(scenario, configs, ctx);
-        ctx.memo.insert_sweep(skey, verdict.clone());
+        ctx.memo.sweep.insert(skey, verdict.clone());
         verdict
     }
 
@@ -590,7 +625,7 @@ impl IncrementalVerifier {
                             ctx.memo.misses += 1;
                             let (device, verdict) =
                                 repair::local_verdict_in(scenario, assignment, text, ctx);
-                            ctx.memo.insert_local(
+                            ctx.memo.local.insert(
                                 tkey,
                                 CachedLocal {
                                     device,
@@ -650,7 +685,7 @@ impl IncrementalVerifier {
                             };
                             let verdict =
                                 repair::campion_verdict_in(assignment, text, &device, ctx);
-                            ctx.memo.insert_campion(ckey, verdict.clone());
+                            ctx.memo.campion.insert(ckey, verdict.clone());
                             verdict
                         }
                     };
@@ -756,7 +791,7 @@ impl IncrementalVerifier {
                 Err(mgr) => ctx.pool.release(mgr),
             }
             ctx.memo.misses += 1;
-            ctx.memo.insert_local(
+            ctx.memo.local.insert(
                 tkey,
                 CachedLocal {
                     device,
@@ -846,7 +881,7 @@ impl IncrementalVerifier {
             ctx.pool.release(mgr);
             for (i, ckey, textfx, verdict) in chunk {
                 ctx.memo.misses += 1;
-                ctx.memo.insert_campion(ckey, verdict.clone());
+                ctx.memo.campion.insert(ckey, verdict.clone());
                 self.campion[i] = Some(MemoEntry { textfx, verdict });
             }
         }
@@ -856,6 +891,41 @@ impl IncrementalVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bounded_memo_keeps_recent_sessions_and_stays_within_its_cap() {
+        let mut m: Bounded<u64> = Bounded::default();
+        m.begin_session(300);
+        let cap = m.cap as u64;
+        assert_eq!(cap, 600, "sized by the network");
+        // Session 1 writes a working set; session 2 reads it back and
+        // writes entries never read again; session 3 fills the map.
+        let hot = 0..cap / 4;
+        for k in hot.clone() {
+            m.insert((k, 0), k);
+        }
+        m.begin_session(300);
+        assert!(hot.clone().all(|k| m.get(&(k, 0)) == Some(&k)));
+        for k in cap..cap + cap / 4 {
+            m.insert((k, 0), k);
+        }
+        m.begin_session(300);
+        for k in 2 * cap..3 * cap {
+            m.insert((k, 0), k);
+            assert!(m.map.len() as u64 <= cap);
+        }
+        assert!(hot.clone().all(|k| m.get(&(k, 0)).is_none()), "stale");
+        // The session in flight keeps what it wrote since the eviction.
+        assert_eq!(m.get(&(3 * cap - 1, 0)), Some(&(3 * cap - 1)));
+        // One session alone past the cap falls back to a clear, so the
+        // map never exceeds the cap.
+        let mut m: Bounded<u64> = Bounded::default();
+        m.begin_session(1);
+        for k in 0..4 * CROSS_FLOOR as u64 {
+            m.insert((k, 1), k);
+            assert!(m.map.len() <= CROSS_FLOOR);
+        }
+    }
 
     #[test]
     fn default_mode_is_incremental_sequential() {

@@ -7,6 +7,7 @@ use bf_lite::LocalPolicyCheck;
 use llm_sim::prompts;
 use net_model::Community;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use topo_model::{
     describe_network, describe_router, Expectation, RouterPolicy, Scenario, StarRoles, Topology,
 };
@@ -23,7 +24,9 @@ pub struct RouterAssignment {
     /// Router name.
     pub name: String,
     /// The full synthesis prompt (description + policy + task sentence).
-    pub prompt: String,
+    /// Shared, so that assignments of one topology under different
+    /// policies can hold the prompts they have in common once.
+    pub prompt: Arc<str>,
     /// The structured local policy (for building checks).
     pub policy: LocalPolicySpec,
     /// The Lightyear-style local checks the verifier runs.
@@ -64,7 +67,7 @@ impl Modularizer {
             .map(|r| {
                 let policy = scenario.policy_for(&r.name).cloned().unwrap_or_default();
                 RouterAssignment {
-                    prompt: Self::prompt_for(&scenario.topology, &r.name, &policy),
+                    prompt: Self::prompt_for(&scenario.topology, &r.name, &policy).into(),
                     checks: Self::checks_for(&policy),
                     name: r.name.clone(),
                     policy,

@@ -34,10 +34,34 @@ use crate::verifier_ctx::VerifierContext;
 use bf_lite::{LocalPolicyCheck, Vendor};
 use campion_lite::CampionFinding;
 use fault_inject::{GroundTruth, Injection};
+use llm_sim::synth_task::SynthesisDraft;
 use llm_sim::{prompts, CostLedger, LanguageModel};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use telemetry::Stage;
 use topo_model::{Scenario, TopologyFinding};
+
+/// Renders the known-good config for every internal router of a
+/// scenario: each assignment's prompt drafted with no injected bug. This
+/// is the snapshot `fault-inject` breaks and the fixed point a repair
+/// session should restore. It reads exactly `(topology, policies)` —
+/// the inputs of [`Modularizer::assign_scenario`] — which is the key
+/// [`VerifierContext::clean_snapshot`] caches it under.
+pub fn clean_configs(scenario: &Scenario) -> BTreeMap<String, String> {
+    render_clean(&Modularizer::assign_scenario(scenario))
+}
+
+/// [`clean_configs`] from the scenario's assignments.
+pub(crate) fn render_clean(assignments: &[RouterAssignment]) -> BTreeMap<String, String> {
+    assignments
+        .iter()
+        .map(|a| {
+            (
+                a.name.clone(),
+                SynthesisDraft::new(&a.prompt, BTreeSet::new()).render(),
+            )
+        })
+        .collect()
+}
 
 /// A localized fault: the suspect router and a 1-based inclusive line
 /// span in its current rendered config, plus the verifier finding that
@@ -789,22 +813,7 @@ fn campion_span(text: &str, f: &CampionFinding) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llm_sim::synth_task::SynthesisDraft;
     use llm_sim::{ErrorModel, SimulatedGpt4};
-    use std::collections::BTreeSet;
-
-    /// Clean rendered configs for every internal router of a scenario.
-    fn clean_configs(scenario: &Scenario) -> BTreeMap<String, String> {
-        Modularizer::assign_scenario(scenario)
-            .iter()
-            .map(|a| {
-                (
-                    a.name.clone(),
-                    SynthesisDraft::new(&a.prompt, BTreeSet::new()).render(),
-                )
-            })
-            .collect()
-    }
 
     #[test]
     fn clean_snapshots_localize_to_nothing() {

@@ -257,7 +257,7 @@ impl SynthesisSession {
         topology: &Topology,
         assignment: &RouterAssignment,
     ) -> (String, bool, bool) {
-        let mut current = t.send_expecting_config(PromptKind::Task, assignment.prompt.clone(), "");
+        let mut current = t.send_expecting_config(PromptKind::Task, &*assignment.prompt, "");
         let mut attempts: BTreeMap<String, usize> = BTreeMap::new();
         let mut rounds = 0usize;
         let mut router_ok = false;

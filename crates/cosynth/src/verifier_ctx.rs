@@ -24,16 +24,28 @@
 //!   `BENCH_*.json` field) is byte-identical to a context created
 //!   fresh for that one session.
 //!
+//! * The **clean-snapshot cache** — worker-lifetime, like the memo:
+//!   for the last [`VerifierContext::SNAPSHOT_CAP`] networks a repair
+//!   session ran on, the classified clean snapshot
+//!   ([`fault_inject::Snapshot`]) and the incremental verifier's
+//!   statics, keyed exactly on the scenario's `(topology, policies)`.
+//!
 //! Determinism: a recycled manager reproduces a fresh manager's `Ref`s
 //! for the same op sequence (refs are assigned in insertion order from
 //! an empty arena; table capacity never enters the result), so pooled
 //! and fresh-per-space fleets produce identical session content — the
 //! determinism guard in `cosynth-fleet` pins this.
 
+use crate::incremental::SessionStatics;
 use crate::space_cache::RouteSpaceCache;
-use bdd::Manager;
+use bdd::{FxHasher, Manager};
+use fault_inject::Snapshot;
 use policy_symbolic::RouteSpace;
+use std::collections::VecDeque;
+use std::hash::{Hash, Hasher as _};
+use std::sync::Arc;
 use telemetry::{SessionTrace, Stage};
+use topo_model::{RouterPolicy, Scenario, Topology};
 
 /// A pool of cleared, ready-to-recycle BDD managers with reuse
 /// accounting. Managers are cleared on [`ManagerPool::release`] (not on
@@ -168,6 +180,35 @@ pub struct VerifierContext {
     /// sessions. Entries are pure values (no managers), so quarantine
     /// leaves them alone.
     pub(crate) memo: crate::incremental::VerdictMemo,
+    /// Worker-lifetime clean-snapshot cache, oldest first (see
+    /// [`Self::clean_snapshot`]). Pure values, so quarantine leaves it
+    /// alone.
+    networks: VecDeque<NetworkEntry>,
+    /// Clean snapshots served from [`Self::clean_snapshot`]'s cache.
+    pub snapshot_hits: usize,
+    /// Clean snapshots rendered and classified on a cache miss.
+    pub snapshot_misses: usize,
+}
+
+fn fxhash(value: &impl Hash) -> u64 {
+    let mut h = FxHasher::default();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// What a context derives once per network: the clean snapshot and the
+/// incremental verifier's statics, each built on first use, under the
+/// owned key they are pure functions of. Entries with equal topologies
+/// (one network, several intents) share one copy of it, and their
+/// snapshots share the config texts they render alike.
+struct NetworkEntry {
+    topology: Arc<Topology>,
+    policies: Vec<(String, RouterPolicy)>,
+    /// FxHashes of the topology and the policies, the statics' memo-key
+    /// seeds.
+    hashes: (u64, u64),
+    snapshot: Option<Arc<Snapshot>>,
+    statics: Option<Arc<SessionStatics>>,
 }
 
 impl Default for VerifierContext {
@@ -197,7 +238,117 @@ impl VerifierContext {
             cache_misses_total: 0,
             trace: SessionTrace::new(),
             memo: crate::incremental::VerdictMemo::default(),
+            networks: VecDeque::new(),
+            snapshot_hits: 0,
+            snapshot_misses: 0,
         }
+    }
+
+    /// Networks kept per context. A worker pinned to one network sees
+    /// one `(topology, policies)` pair per intent (four); a few more
+    /// absorb a fleet that alternates between networks. At as-graph-256
+    /// a network's first entry holds ~250 KB of topology, ~180 KB of
+    /// config text and ~300 KB of statics (mostly prompts); each further
+    /// intent on it adds about a sixth of that, since it shares the
+    /// topology and every text and prompt its policies leave alone.
+    pub const SNAPSHOT_CAP: usize = 8;
+
+    /// The index of `scenario`'s cache entry, inserting an empty one
+    /// (and evicting the oldest beyond [`Self::SNAPSHOT_CAP`]) on a miss.
+    ///
+    /// Both values an entry holds read exactly `(topology, policies)`,
+    /// so that pair is the key, and a hit needs both to compare equal
+    /// to the stored owned copy. Equal topologies share one `Arc`, so
+    /// the topology is compared once per lookup, not once per intent.
+    fn network(&mut self, scenario: &Scenario) -> usize {
+        let mut topology: Option<&Arc<Topology>> = None;
+        for (i, e) in self.networks.iter().enumerate() {
+            let same = match topology {
+                Some(t) => Arc::ptr_eq(t, &e.topology),
+                None => *e.topology == scenario.topology,
+            };
+            if !same {
+                continue;
+            }
+            if e.policies == scenario.policies {
+                return i;
+            }
+            topology = Some(&e.topology);
+        }
+        let topology = match topology {
+            Some(t) => Arc::clone(t),
+            None => Arc::new(scenario.topology.clone()),
+        };
+        if self.networks.len() >= Self::SNAPSHOT_CAP {
+            self.networks.pop_front();
+        }
+        self.networks.push_back(NetworkEntry {
+            hashes: (fxhash(&scenario.topology), fxhash(&scenario.policies)),
+            topology,
+            policies: scenario.policies.clone(),
+            snapshot: None,
+            statics: None,
+        });
+        self.networks.len() - 1
+    }
+
+    /// The entries sharing entry `i`'s topology, `i` included: the
+    /// same network under other intents.
+    fn same_topology(&self, i: usize) -> impl Iterator<Item = &NetworkEntry> {
+        let topology = &self.networks[i].topology;
+        self.networks
+            .iter()
+            .filter(move |e| Arc::ptr_eq(&e.topology, topology))
+    }
+
+    /// The classified clean snapshot of `scenario` —
+    /// [`crate::repair::clean_configs`] wrapped in a
+    /// [`fault_inject::Snapshot`] — served from the context's cache
+    /// when a previous session started from the same network (see
+    /// [`Self::SNAPSHOT_CAP`] for the bound). Hit or miss, the snapshot
+    /// is the same value, so session content does not depend on cache
+    /// state.
+    pub fn clean_snapshot(&mut self, scenario: &Scenario) -> Arc<Snapshot> {
+        let i = self.network(scenario);
+        if let Some(snapshot) = &self.networks[i].snapshot {
+            self.snapshot_hits += 1;
+            return Arc::clone(snapshot);
+        }
+        self.snapshot_misses += 1;
+        // Render from the statics' assignments, so a network's first
+        // session derives them once for both.
+        let (statics, _) = self.session_statics(scenario);
+        let configs = crate::repair::render_clean(statics.assignments());
+        let sibling = self.same_topology(i).find_map(|e| e.snapshot.as_deref());
+        let snapshot = Arc::new(match sibling {
+            Some(sibling) => Snapshot::sharing_texts_with(&configs, sibling),
+            None => Snapshot::new(&configs),
+        });
+        self.networks[i].snapshot = Some(Arc::clone(&snapshot));
+        snapshot
+    }
+
+    /// The incremental verifier's statics for `scenario`, from the same
+    /// cache as [`Self::clean_snapshot`], with the entry's
+    /// `(topology, policies)` hashes.
+    pub(crate) fn session_statics(
+        &mut self,
+        scenario: &Scenario,
+    ) -> (Arc<SessionStatics>, (u64, u64)) {
+        let i = self.network(scenario);
+        if self.networks[i].statics.is_none() {
+            let sibling = self.same_topology(i).find_map(|e| e.statics.as_deref());
+            let statics = Arc::new(SessionStatics::build(scenario, sibling));
+            self.networks[i].statics = Some(statics);
+        }
+        let entry = &self.networks[i];
+        let statics = entry.statics.as_ref().expect("built above");
+        (Arc::clone(statics), entry.hashes)
+    }
+
+    /// Networks currently cached (at most [`Self::SNAPSHOT_CAP`]).
+    pub fn snapshots_cached(&self) -> usize {
+        self.networks.len()
     }
 
     /// Starts a session: folds the previous session's cache counters

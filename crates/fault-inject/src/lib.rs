@@ -32,12 +32,15 @@
 //! select the same router, class, and mutation site (splitmix64 stream,
 //! `BTreeMap` iteration order, no ambient randomness). This is what makes
 //! `BENCH_repair.json` reproducible and fault classes *enumerable* rather
-//! than ad hoc.
+//! than ad hoc. Both are one-shot wrappers over [`Snapshot`], which
+//! classifies a snapshot's routers once so a caller that breaks the
+//! same snapshot repeatedly can keep the classification.
 
 use cisco_cfg::{CiscoConfig, SetClause};
 use llm_sim::rng::SimRng;
 use net_model::{Community, Prefix};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The typed fault classes the corpus can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -91,6 +94,15 @@ impl FaultClass {
         }
     }
 }
+
+// `Snapshot` indexes its per-class router lists by discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < FaultClass::ALL.len() {
+        assert!(FaultClass::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 impl std::fmt::Display for FaultClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -401,86 +413,151 @@ fn stream(seed: u64) -> SimRng {
     )
 }
 
-/// Injects one fault into a clean snapshot: picks a class uniformly over
-/// the classes applicable *somewhere* in the snapshot, then a router
-/// uniformly over the routers that class applies to. Deterministic per
-/// `(configs, seed)`. Returns `None` only for snapshots where no class
-/// applies at all (no BGP anywhere).
+/// A clean snapshot plus, per fault class, the routers that class
+/// applies to — computed in one parse pass over every router. The free
+/// [`inject`] and [`corpus`] build one and throw it away; a caller that
+/// breaks the same snapshot many times (a resident repair worker) keeps
+/// it and pays the classification once. Holding it changes no draw:
+/// [`Snapshot::inject`] and [`Snapshot::corpus`] are the only
+/// implementations of both entry points.
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    /// Router names and clean texts, in name order. Texts are shared so
+    /// that snapshots of one network can hold the routers they render
+    /// alike once ([`Snapshot::sharing_texts_with`]).
+    routers: Vec<(String, Arc<str>)>,
+    /// Per fault class, indexed by position in [`FaultClass::ALL`]: the
+    /// positions in `routers` of the routers the class applies to.
+    classes: [Vec<usize>; FaultClass::ALL.len()],
+}
+
+impl Snapshot {
+    /// Classifies every router of a clean snapshot.
+    pub fn new(configs: &BTreeMap<String, String>) -> Self {
+        Self::classify(configs, None)
+    }
+
+    /// [`Snapshot::new`], except that every router whose text equals
+    /// its text in `sibling` shares `sibling`'s copy. Snapshots of one
+    /// topology under different policies differ only on the routers the
+    /// policies touch.
+    pub fn sharing_texts_with(configs: &BTreeMap<String, String>, sibling: &Snapshot) -> Self {
+        Self::classify(configs, Some(sibling))
+    }
+
+    fn classify(configs: &BTreeMap<String, String>, sibling: Option<&Snapshot>) -> Self {
+        let mut classes: [Vec<usize>; FaultClass::ALL.len()] = Default::default();
+        let routers = configs
+            .iter()
+            .enumerate()
+            .map(|(i, (name, text))| {
+                for class in applicable_classes(text) {
+                    classes[class as usize].push(i);
+                }
+                let shared = sibling
+                    .and_then(|s| s.text(name))
+                    .filter(|t| ***t == **text)
+                    .map(Arc::clone);
+                (
+                    name.clone(),
+                    shared.unwrap_or_else(|| Arc::from(text.as_str())),
+                )
+            })
+            .collect();
+        Snapshot { routers, classes }
+    }
+
+    /// The clean text of `router`.
+    fn text(&self, router: &str) -> Option<&Arc<str>> {
+        let i = self
+            .routers
+            .binary_search_by(|(name, _)| name.as_str().cmp(router))
+            .ok()?;
+        Some(&self.routers[i].1)
+    }
+
+    /// A copy of the clean configs, keyed by router name.
+    pub fn configs(&self) -> BTreeMap<String, String> {
+        self.routers
+            .iter()
+            .map(|(name, text)| (name.clone(), text.to_string()))
+            .collect()
+    }
+
+    /// The positions of the routers `class` applies to, in name order.
+    fn candidates(&self, class: FaultClass) -> &[usize] {
+        &self.classes[class as usize]
+    }
+
+    /// Injects one fault: picks a class uniformly over the classes
+    /// applicable *somewhere* in the snapshot, then a router uniformly
+    /// over the routers that class applies to. Deterministic per
+    /// `(configs, seed)`. Returns `None` only for snapshots where no
+    /// class applies at all (no BGP anywhere).
+    pub fn inject(&self, seed: u64) -> Option<Injection> {
+        let mut rng = stream(seed);
+        let mut classes: Vec<FaultClass> = FaultClass::ALL
+            .into_iter()
+            .filter(|c| !self.candidates(*c).is_empty())
+            .collect();
+        // A mutation can still come back as a no-op for a particular
+        // router (e.g. the drawn site renders identically); rotate
+        // through the remaining classes rather than give up.
+        while !classes.is_empty() {
+            let class = classes.remove(rng.index(classes.len()));
+            let candidates = self.candidates(class);
+            let router = candidates[rng.index(candidates.len())];
+            if let Some(injection) = self.build(router, class, &mut rng) {
+                return Some(injection);
+            }
+        }
+        None
+    }
+
+    /// The enumerable corpus: one injection per applicable fault class
+    /// (router drawn per class). Deterministic per `(configs, seed)`.
+    pub fn corpus(&self, seed: u64) -> Vec<Injection> {
+        let mut rng = stream(seed);
+        let mut out = Vec::new();
+        for class in FaultClass::ALL {
+            let candidates = self.candidates(class);
+            if candidates.is_empty() {
+                continue;
+            }
+            let router = candidates[rng.index(candidates.len())];
+            if let Some(injection) = self.build(router, class, &mut rng) {
+                out.push(injection);
+            }
+        }
+        out
+    }
+
+    fn build(&self, router: usize, class: FaultClass, rng: &mut SimRng) -> Option<Injection> {
+        let (name, clean) = &self.routers[router];
+        let (mutated, line_start, line_end, detail) = mutate_config(clean, class, rng)?;
+        let mut configs = self.configs();
+        configs.insert(name.clone(), mutated);
+        Some(Injection {
+            configs,
+            fault: GroundTruth {
+                device: name.clone(),
+                class,
+                line_start,
+                line_end,
+                detail,
+            },
+        })
+    }
+}
+
+/// [`Snapshot::inject`] on a one-shot snapshot of `configs`.
 pub fn inject(configs: &BTreeMap<String, String>, seed: u64) -> Option<Injection> {
-    let mut rng = stream(seed);
-    let per_router: Vec<(&String, Vec<FaultClass>)> = configs
-        .iter()
-        .map(|(name, text)| (name, applicable_classes(text)))
-        .collect();
-    let mut classes: Vec<FaultClass> = FaultClass::ALL
-        .into_iter()
-        .filter(|c| per_router.iter().any(|(_, cs)| cs.contains(c)))
-        .collect();
-    // A mutation can still come back as a no-op for a particular router
-    // (e.g. the drawn site renders identically); rotate through the
-    // remaining classes rather than give up.
-    while !classes.is_empty() {
-        let class = classes.remove(rng.index(classes.len()));
-        let routers: Vec<&String> = per_router
-            .iter()
-            .filter(|(_, cs)| cs.contains(&class))
-            .map(|(n, _)| *n)
-            .collect();
-        let router = routers[rng.index(routers.len())];
-        if let Some(injection) = build(configs, router, class, &mut rng) {
-            return Some(injection);
-        }
-    }
-    None
+    Snapshot::new(configs).inject(seed)
 }
 
-/// The enumerable corpus for one snapshot: one injection per applicable
-/// fault class (router drawn per class). Deterministic per
-/// `(configs, seed)`.
+/// [`Snapshot::corpus`] on a one-shot snapshot of `configs`.
 pub fn corpus(configs: &BTreeMap<String, String>, seed: u64) -> Vec<Injection> {
-    let mut rng = stream(seed);
-    let per_router: Vec<(&String, Vec<FaultClass>)> = configs
-        .iter()
-        .map(|(name, text)| (name, applicable_classes(text)))
-        .collect();
-    let mut out = Vec::new();
-    for class in FaultClass::ALL {
-        let routers: Vec<&String> = per_router
-            .iter()
-            .filter(|(_, cs)| cs.contains(&class))
-            .map(|(n, _)| *n)
-            .collect();
-        if routers.is_empty() {
-            continue;
-        }
-        let router = routers[rng.index(routers.len())];
-        if let Some(injection) = build(configs, router, class, &mut rng) {
-            out.push(injection);
-        }
-    }
-    out
-}
-
-fn build(
-    configs: &BTreeMap<String, String>,
-    router: &str,
-    class: FaultClass,
-    rng: &mut SimRng,
-) -> Option<Injection> {
-    let clean = configs.get(router)?;
-    let (mutated, line_start, line_end, detail) = mutate_config(clean, class, rng)?;
-    let mut configs = configs.clone();
-    configs.insert(router.to_string(), mutated);
-    Some(Injection {
-        configs,
-        fault: GroundTruth {
-            device: router.to_string(),
-            class,
-            line_start,
-            line_end,
-            detail,
-        },
-    })
+    Snapshot::new(configs).corpus(seed)
 }
 
 #[cfg(test)]
@@ -582,6 +659,27 @@ route-map PREF permit 10
             classes.len() >= 5,
             "seeds must spread over classes: {classes:?}"
         );
+    }
+
+    #[test]
+    fn shared_texts_change_no_content_and_no_draw() {
+        let mut configs = snapshot();
+        let r2 = configs["R1"].replace("hostname R1", "hostname R2");
+        configs.insert("R2".into(), r2);
+        // A sibling with one router more, one equal text, one different.
+        let mut sibling = configs.clone();
+        sibling.insert("R0".into(), configs["R1"].clone());
+        sibling.insert("R2".into(), configs["R1"].clone());
+        let sibling = Snapshot::new(&sibling);
+        let alone = Snapshot::new(&configs);
+        let shared = Snapshot::sharing_texts_with(&configs, &sibling);
+        assert!(Arc::ptr_eq(&shared.routers[0].1, &sibling.routers[1].1));
+        assert!(!Arc::ptr_eq(&shared.routers[1].1, &sibling.routers[2].1));
+        assert_eq!(shared.configs(), configs);
+        for seed in 0..16 {
+            let (a, b) = (alone.inject(seed).unwrap(), shared.inject(seed).unwrap());
+            assert_eq!((a.fault, a.configs), (b.fault, b.configs));
+        }
     }
 
     #[test]
