@@ -33,7 +33,6 @@
 use cosynth::session::RetryPolicy;
 use cosynth::{Modularizer, VerifierContext};
 use llm_sim::{BackendChoice, CostLedger, TransportModel};
-use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 use topo_model::Scenario;
@@ -174,16 +173,7 @@ pub fn family_of(index: usize) -> &'static str {
 pub fn scenario_for(seed: u64, index: usize) -> Scenario {
     let n_families = scenario_gen::FAMILIES.len() + 1;
     if index % n_families == scenario_gen::FAMILIES.len() {
-        // The star: 3..=8 edges, seeded like the generated families.
-        let n = 3 + llm_sim::rng::SimRng::seed_from_u64(
-            seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(index as u64),
-        )
-        .index(6);
-        let (topology, roles) = topo_model::star(n);
-        let mut s = Modularizer::star_scenario(&topology, &roles);
-        s.name = format!("star-no-transit-s{seed}-i{index}");
-        s
+        star_scenario(seed, index)
     } else {
         // Collapse the index space onto the generator's 5-family
         // rotation: star slots sit at index ≡ 5 (mod 6), so dropping
@@ -194,22 +184,26 @@ pub fn scenario_for(seed: u64, index: usize) -> Scenario {
     }
 }
 
+/// The paper's star scenario for session `index` of stream `seed`:
+/// 3..=8 edges, seeded like the generated families.
+fn star_scenario(seed: u64, index: usize) -> Scenario {
+    let n = 3 + llm_sim::rng::SimRng::seed_from_u64(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(index as u64),
+    )
+    .index(6);
+    let (topology, roles) = topo_model::star(n);
+    let mut s = Modularizer::star_scenario(&topology, &roles);
+    s.name = format!("star-no-transit-s{seed}-i{index}");
+    s
+}
+
 /// [`scenario_for`] honoring the tuning's family pin: a pinned family
 /// (large or rotation) generates by name with the fleet index as the
 /// stream index; otherwise the default rotation applies.
 pub fn scenario_for_tuned(seed: u64, index: usize, tuning: &SessionTuning) -> Scenario {
     match tuning.scenario_family {
-        Some("star") => {
-            let n = 3 + llm_sim::rng::SimRng::seed_from_u64(
-                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(index as u64),
-            )
-            .index(6);
-            let (topology, roles) = topo_model::star(n);
-            let mut s = Modularizer::star_scenario(&topology, &roles);
-            s.name = format!("star-no-transit-s{seed}-i{index}");
-            s
-        }
+        Some("star") => star_scenario(seed, index),
         Some(family) => scenario_gen::generate_family(family, seed, index),
         None => scenario_for(seed, index),
     }
@@ -388,9 +382,18 @@ impl<U: UseCase> FleetReport<U> {
     }
 }
 
-/// Resolves the session-index job list for a fleet run, applying the
-/// family filter by probing the deterministic scenario stream.
-pub(crate) fn job_indices(sessions: usize, families: Option<&[String]>) -> Vec<usize> {
+/// Resolves the session-index job list for a fleet run or a served
+/// batch, applying the family filter by probing the deterministic
+/// scenario stream. A pinned family (`tuning.scenario_family`) has no
+/// rotation to filter: every index runs it, so the list is `0..sessions`.
+pub(crate) fn job_indices(
+    sessions: usize,
+    families: Option<&[String]>,
+    tuning: &SessionTuning,
+) -> Vec<usize> {
+    if tuning.scenario_family.is_some() {
+        return (0..sessions).collect();
+    }
     let mut jobs = Vec::with_capacity(sessions);
     let mut index = 0usize;
     while jobs.len() < sessions {
@@ -411,11 +414,11 @@ pub(crate) fn job_indices(sessions: usize, families: Option<&[String]>) -> Vec<u
     jobs
 }
 
-/// The work-stealing pool shared by every use case: distributes session
-/// indices round-robin over per-worker deques; each worker owns a
-/// resident [`VerifierContext`] for its whole lifetime, pops its own
-/// queue from the front, and steals from the back of the others when
-/// dry.
+/// The work-stealing pool shared by every use case: every session
+/// index goes onto the admission queue the service uses
+/// ([`service::ShardedQueue`]), which is then closed; each worker owns
+/// a resident [`VerifierContext`] for its whole lifetime and pops until
+/// the queue is drained.
 ///
 /// Panic containment lives *here*, not in the job closures: a `run`
 /// that panics is caught, the worker's context is quarantined (its
@@ -433,16 +436,16 @@ fn run_pool<R: Send>(
     run: impl Fn(usize, &mut VerifierContext) -> R + Sync,
     on_panic: impl Fn(usize) -> R + Sync,
 ) -> (Vec<(usize, R)>, PoolCounters) {
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, job) in jobs.iter().enumerate() {
-        lock_clean(&queues[i % threads]).push_back(*job);
+    let queue = service::ShardedQueue::new(threads);
+    for &job in jobs {
+        queue.push(job);
     }
+    queue.close();
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     let counters: Mutex<PoolCounters> = Mutex::new(PoolCounters::default());
     std::thread::scope(|scope| {
         for me in 0..threads {
-            let queues = &queues;
+            let queue = &queue;
             let results = &results;
             let counters = &counters;
             let run = &run;
@@ -453,18 +456,7 @@ fn run_pool<R: Send>(
                 } else {
                     VerifierContext::without_pooling()
                 };
-                loop {
-                    // Own queue first (front), then steal from the back
-                    // of the busiest-looking victim.
-                    let job = {
-                        let mine = lock_clean(&queues[me]).pop_front();
-                        mine.or_else(|| {
-                            (0..queues.len())
-                                .filter(|&v| v != me)
-                                .find_map(|v| lock_clean(&queues[v]).pop_back())
-                        })
-                    };
-                    let Some(index) = job else { break };
+                while let Some(index) = queue.pop(me) {
                     // AssertUnwindSafe is sound because quarantine drops
                     // every piece of state a mid-session panic could
                     // have left half-mutated, and the fallback must not
@@ -498,12 +490,7 @@ fn run_pool<R: Send>(
 /// cases (and any future one).
 pub fn run_case<U: UseCase>(cfg: &FleetConfig) -> FleetReport<U> {
     let threads = cfg.threads.max(2);
-    // A pinned family has no rotation to probe: every index runs it.
-    let jobs = if cfg.tuning.scenario_family.is_some() {
-        (0..cfg.sessions).collect()
-    } else {
-        job_indices(cfg.sessions, cfg.families.as_deref())
-    };
+    let jobs = job_indices(cfg.sessions, cfg.families.as_deref(), &cfg.tuning);
     let seed = cfg.seed;
     let tuning = cfg.tuning;
     let t0 = Instant::now();

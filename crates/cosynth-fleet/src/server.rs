@@ -1,23 +1,26 @@
-//! The `fleetd` socket front-end: `fleet --serve --listen <addr>`.
+//! The serving engine, and its socket front-end:
+//! `fleet --serve --listen <addr>`.
 //!
-//! Promotes the stdin pipe to a concurrent daemon with zero new
-//! dependencies: a [`std::net::TcpListener`] accept loop spawns one
-//! reader/writer thread pair per client connection, every connection
-//! speaks the same newline-JSON batch protocol as stdin `--serve`, and
-//! all of them feed one bounded admission queue — sharded per worker
-//! with work-stealing ([`ShardedQueue`]) so the hot pop path never
-//! contends across the pool — drained by the resident workers. Where
-//! the stdin pump runs batches one
-//! at a time, connections here pipeline freely — a client may have any
-//! number of batches in flight, and batch requests may carry a `tag`
-//! that is echoed on the `{"event":"batch"}` line for attribution (the
-//! `loadgen` bin relies on this).
+//! This module is the only serving engine. It has a resident worker
+//! pool ([`Core`]), two-stage admission and request dispatch
+//! ([`ConnReader`]), and per-connection result streaming
+//! ([`ConnWriter`]). Every connection speaks the newline-JSON batch
+//! protocol of [`crate::service`], and all of them feed one bounded
+//! admission queue — sharded per worker with work-stealing
+//! ([`ShardedQueue`]) so the hot pop path never contends across the
+//! pool. Here, a [`std::net::TcpListener`] accept loop gives each
+//! client a reader/writer thread pair, and connections pipeline freely:
+//! a client may have any number of batches in flight, and batch
+//! requests may carry a `tag` that is echoed on the `{"event":"batch"}`
+//! line for attribution (the `loadgen` bin relies on this). Stdin
+//! [`serve`] drives the same engine as one connection in lockstep.
 //!
 //! ## Connection lifecycle
 //!
 //! * **accept** — the open-connections gauge rises; a reader thread
-//!   parses request lines (50 ms read timeout so it can notice a
-//!   server-wide drain), a writer thread owns the socket's write half.
+//!   splits request lines ([`LineSplitter`], at most [`MAX_LINE`] bytes
+//!   each; 20 ms read timeout so it can notice a server-wide drain), a
+//!   writer thread owns the socket's write half.
 //! * **admission** — under the accounting lock: the batch's jobs are
 //!   admitted up to the queue's remaining **total** depth (the bound
 //!   spans all shards), the excess is shed with a typed `queue_full`
@@ -25,12 +28,15 @@
 //!   queue-depth gauge. Admitted jobs are then distributed round-robin
 //!   across the per-worker shards.
 //! * **completion** — workers run jobs from the shared queue, fold the
-//!   global and per-tenant counters, and route each `Completion` back
-//!   to its connection's writer, which streams the result line and, on
-//!   the batch's last completion, the batch line.
+//!   registry, and route each `Completion` back to its connection's
+//!   writer, which streams the result line, folds it into its batch's
+//!   ledger and, on the batch's last completion, writes the batch line.
 //! * **EOF** — the writer waits out the connection's in-flight batches
 //!   and ends the stream with a per-connection
-//!   `{"event":"drain","scope":"connection",...}` ledger line.
+//!   `{"event":"drain","scope":"connection",...}` ledger line. A line
+//!   longer than [`MAX_LINE`] is a `line_too_long` reject and ends the
+//!   reading the same way. The connection's ledger is then added to the
+//!   daemon's total.
 //!
 //! ## Accounting under concurrency
 //!
@@ -47,8 +53,14 @@
 //! and every transition that moves a job between those states happens
 //! under one small `accounting` mutex, which the scrape also takes
 //! while snapshotting — so `fleetd_accounted 1` is exact at any scrape
-//! point, chaos or not. (The stdin pump satisfies the same identity
-//! trivially: its gauges are always zero at snapshot points.)
+//! point, chaos or not. (The lockstep stdin connection has both gauges
+//! at zero whenever it takes a snapshot.)
+//!
+//! A completion reaches accounting in exactly two calls:
+//! [`MetricIds::record`] on the worker (registry) and
+//! [`ServeSummary::record`] on the writer (its batch's ledger). Finished
+//! batch ledgers add up to the connection's, closed connections' to the
+//! daemon's.
 //!
 //! ## `/metrics`
 //!
@@ -68,24 +80,31 @@
 //! taking new requests), closes the queue, joins the workers, and
 //! returns the final [`ServeSummary`] — no session lost or counted
 //! twice, which the regression tests pin.
+//!
+//! [`serve`]: crate::service::serve
 
 use crate::service::{
-    metrics_json, parse_request, run_job, Completion, CompletionClass, Job, MetricIds, Request,
+    identities, metrics_json, parse_request, run_job, Completion, Job, MetricIds, Request,
     ServeOptions, ServeSummary, ShardedQueue, ANONYMOUS_CLIENT,
 };
 use crate::{job_indices, lock_clean, PoolCounters};
-use llm_sim::Tier;
 use std::collections::HashMap;
 use std::io::{self, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
-use telemetry::{Registry, Snapshot};
 use topo_model::json::ObjBuilder;
 
 /// How often blocked accept/read loops wake to check the drain flag.
 const POLL: Duration = Duration::from_millis(20);
+
+/// The longest request line either front end accepts, in bytes (newline
+/// excluded). A longer line is a typed `line_too_long` reject and ends
+/// the connection's reading, so a client cannot grow a reader's buffer
+/// without bound.
+pub(crate) const MAX_LINE: usize = 64 * 1024;
 
 /// One job on the shared queue, routed back to its connection.
 struct SrvJob {
@@ -100,15 +119,18 @@ struct SrvJob {
     reply: mpsc::Sender<ConnEvent>,
 }
 
-/// What flows to a connection's writer thread.
-enum ConnEvent {
+/// What flows to a connection's writer.
+pub(crate) enum ConnEvent {
     /// A pre-rendered protocol line from the reader (reject, ack,
     /// metrics snapshot, or an all-shed batch line).
     Line(String),
+    /// A batch was admitted. Sent before its jobs are queued, so it
+    /// reaches the writer ahead of their completions.
+    Batch(u64, BatchState),
     /// One completion for the connection's batch `.0`.
     Done(u64, Box<Completion>),
-    /// The reader is finished; drain in-flight batches and close.
-    Eof,
+    /// The reader is finished; carries its admission-side ledger.
+    Eof(ServeSummary),
 }
 
 /// Jobs-in-states guarded by the accounting lock (see module docs).
@@ -119,22 +141,21 @@ struct Accounting {
 }
 
 /// Everything the worker pool, connections, and scrape loop share.
-struct Core<'o> {
+pub(crate) struct Core<'o> {
     opts: &'o ServeOptions,
     queue_depth: usize,
     /// Per-worker admission shards with work-stealing; `queue_depth`
     /// bounds **total** occupancy (tracked in [`Accounting::queued`]),
     /// not any single shard.
     queue: ShardedQueue<SrvJob>,
-    reg: Registry,
+    pub(crate) reg: telemetry::Registry,
     ids: MetricIds,
     /// Guards every multi-counter state transition plus the scrape's
     /// snapshot, making the extended accounting identity exact at any
     /// scrape point.
     accounting: Mutex<Accounting>,
-    /// The global drain ledger (the socket analogue of the stdin
-    /// pump's local summary).
-    ledger: Mutex<ServeSummary>,
+    /// The sum of the ledgers of the connections closed so far.
+    closed: Mutex<ServeSummary>,
     counters: Mutex<PoolCounters>,
     /// Set by a `{"shutdown":true}` line: stop accepting connections
     /// and new requests, drain what's in flight.
@@ -146,7 +167,59 @@ struct Core<'o> {
     started: Instant,
 }
 
-impl Core<'_> {
+impl<'o> Core<'o> {
+    pub(crate) fn new(opts: &'o ServeOptions) -> Self {
+        // Shard 0 belongs to the connection front-ends; workers get 1..=N.
+        let mut reg = telemetry::Registry::new(opts.threads.max(2) + 1);
+        let ids = MetricIds::register(&mut reg);
+        Core {
+            opts,
+            queue_depth: opts.queue_depth.max(1),
+            queue: ShardedQueue::new(opts.threads.max(2)),
+            reg,
+            ids,
+            accounting: Mutex::new(Accounting::default()),
+            closed: Mutex::new(ServeSummary::default()),
+            counters: Mutex::new(PoolCounters::default()),
+            draining: AtomicBool::new(false),
+            done: AtomicBool::new(false),
+            open_conns: AtomicUsize::new(0),
+            chaos_seq: AtomicU64::new(0),
+            started: Instant::now(),
+        }
+    }
+
+    /// Runs `front` with the resident workers up, then closes the queue
+    /// and joins them: every admitted job has run (or been shed) when
+    /// this returns.
+    pub(crate) fn run<'env, R>(
+        &'env self,
+        front: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
+    ) -> R {
+        std::thread::scope(|scope| {
+            for w in 0..self.opts.threads.max(2) {
+                scope.spawn(move || worker_loop(self, w + 1));
+            }
+            let result = front(scope);
+            self.queue.close();
+            self.done.store(true, Relaxed);
+            result
+        })
+    }
+
+    /// Adds a closed connection's ledger to the daemon's total.
+    pub(crate) fn close_conn(&self, ledger: &ServeSummary) {
+        lock_clean(&self.closed).absorb(ledger);
+    }
+
+    /// The daemon's total ledger plus the workers' pool counters; call
+    /// after [`Self::run`] returns.
+    pub(crate) fn summary(&self) -> ServeSummary {
+        let mut summary = lock_clean(&self.closed).clone();
+        summary.pool = *lock_clean(&self.counters);
+        summary
+    }
+
     /// Mirrors the accounting fields into their registry gauges; call
     /// with the accounting lock held.
     fn mirror(&self, acc: &Accounting) {
@@ -169,32 +242,9 @@ pub fn serve_listener(
     metrics_listener: Option<TcpListener>,
     opts: &ServeOptions,
 ) -> io::Result<ServeSummary> {
-    let threads = opts.threads.max(2);
-    // Shard 0 belongs to the connection front-ends; workers get 1..=N.
-    let mut reg = Registry::new(threads + 1);
-    let ids = MetricIds::register(&mut reg);
-    let core = Core {
-        opts,
-        queue_depth: opts.queue_depth.max(1),
-        queue: ShardedQueue::new(threads),
-        reg,
-        ids,
-        accounting: Mutex::new(Accounting::default()),
-        ledger: Mutex::new(ServeSummary::default()),
-        counters: Mutex::new(PoolCounters::default()),
-        draining: AtomicBool::new(false),
-        done: AtomicBool::new(false),
-        open_conns: AtomicUsize::new(0),
-        chaos_seq: AtomicU64::new(0),
-        started: Instant::now(),
-    };
-    let core = &core;
-
+    let core = &Core::new(opts);
     listener.set_nonblocking(true)?;
-    std::thread::scope(|scope| -> io::Result<()> {
-        for w in 0..threads {
-            scope.spawn(move || worker_loop(core, w + 1));
-        }
+    core.run(|scope| -> io::Result<()> {
         if let Some(ml) = metrics_listener {
             scope.spawn(move || metrics_loop(ml, core));
         }
@@ -230,23 +280,14 @@ pub fn serve_listener(
         while core.open_conns.load(Relaxed) > 0 {
             std::thread::sleep(POLL);
         }
-        core.queue.close();
-        core.done.store(true, Relaxed);
         accept_result
     })?;
-
-    let mut summary = core
-        .ledger
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    summary.pool = *lock_clean(&core.counters);
-    Ok(summary)
+    Ok(core.summary())
 }
 
 /// One resident worker: pops jobs off the shared queue, runs them
-/// panic-contained, folds the registry and global ledger, and routes
-/// the completion back to its connection.
+/// panic-contained, folds the registry, and routes the completion back
+/// to its connection.
 fn worker_loop(core: &Core<'_>, shard: usize) {
     let mut ctx = if core.opts.pool_managers {
         cosynth::VerifierContext::new()
@@ -268,7 +309,6 @@ fn worker_loop(core: &Core<'_>, shard: usize) {
             );
         }
         let done = run_job(sj.job, &mut ctx, &core.opts.tuning, core.opts.stream_traces);
-        let ran = !matches!(done.class, CompletionClass::Shed);
         {
             // One critical section per completion: the outcome counter
             // and the in-flight gauge move together, so the scrape
@@ -276,186 +316,175 @@ fn worker_loop(core: &Core<'_>, shard: usize) {
             let mut acc = lock_clean(&core.accounting);
             acc.in_flight -= 1;
             core.mirror(&acc);
-            let reg = &core.reg;
-            let ids = &core.ids;
-            match done.class {
-                CompletionClass::Completed { .. } => {
-                    reg.inc(shard, ids.completed);
-                    reg.add_labeled(ids.tenant_sessions, &sj.client, 1);
-                }
-                CompletionClass::DeadlineExceeded => {
-                    reg.inc(shard, ids.deadline_exceeded);
-                    reg.add_labeled(ids.tenant_sessions, &sj.client, 1);
-                    reg.add_labeled(ids.tenant_deadline_exceeded, &sj.client, 1);
-                }
-                CompletionClass::Panicked => {
-                    reg.inc(shard, ids.quarantined);
-                    reg.add_labeled(ids.tenant_sessions, &sj.client, 1);
-                }
-                CompletionClass::Shed => {
-                    reg.inc(shard, ids.shed_over_deadline);
-                    reg.add_labeled(ids.tenant_shed, &sj.client, 1);
-                }
-            }
-            if ran {
-                reg.add(shard, ids.transport_retries, done.retries as u64);
-                reg.observe_ns(shard, ids.session, (done.wall_ms * 1e6) as u64);
-                ids.stages.observe(reg, shard, &done.trace);
-                ids.fold_cost(reg, shard, &done.cost, &sj.client);
-            }
-        }
-        {
-            let mut ledger = lock_clean(&core.ledger);
-            match done.class {
-                CompletionClass::Completed { ok } => {
-                    ledger.sessions += 1;
-                    ledger.completed += 1;
-                    if !ok {
-                        ledger.failures += 1;
-                    }
-                }
-                CompletionClass::DeadlineExceeded => {
-                    ledger.sessions += 1;
-                    ledger.deadline_exceeded += 1;
-                    ledger.failures += 1;
-                }
-                CompletionClass::Panicked => {
-                    ledger.sessions += 1;
-                    ledger.quarantined += 1;
-                    ledger.failures += 1;
-                }
-                CompletionClass::Shed => ledger.shed_over_deadline += 1,
-            }
-            if ran {
-                ledger.latencies_ms.push(done.wall_ms);
-                ledger.transport_retries += done.retries;
-                ledger.cost.absorb(&done.cost);
-            }
+            core.ids.record(&core.reg, shard, &done, &sj.client);
         }
         // The connection may already be gone (client hung up): the
-        // completion is accounted above either way.
+        // writer's ledger still gets it, in sink mode.
         let _ = sj.reply.send(ConnEvent::Done(sj.batch, Box::new(done)));
     }
     ctx.flush();
     lock_clean(&core.counters).absorb(&ctx);
 }
 
-/// Per-batch bookkeeping shared between a connection's reader (inserts
-/// before enqueue) and writer (folds completions, emits the batch
-/// line).
-struct BatchState {
-    requested: usize,
-    accepted: usize,
-    /// Admission-time sheds (queue_full, expired deadline).
-    shed: usize,
-    /// Dequeue-time sheds (deadline expired in the queue).
-    dequeue_shed: usize,
-    failed: usize,
-    remaining: usize,
-    tag: Option<String>,
+/// A request line longer than [`MAX_LINE`].
+pub(crate) struct LineTooLong;
+
+/// The one request-line splitter behind both front ends: buffers bytes
+/// until a newline and decodes each line lossily. The buffer never
+/// holds more than [`MAX_LINE`] bytes plus one read chunk.
+#[derive(Default)]
+pub(crate) struct LineSplitter {
+    buf: Vec<u8>,
+}
+
+impl LineSplitter {
+    /// Appends `bytes` and hands each complete line to `handle`, which
+    /// returns `false` to stop reading. A line past [`MAX_LINE`] —
+    /// complete or not — is handed over as `Err(LineTooLong)`, after
+    /// which reading stops. Returns whether to keep reading.
+    pub(crate) fn feed(
+        &mut self,
+        bytes: &[u8],
+        handle: &mut impl FnMut(Result<&str, LineTooLong>) -> bool,
+    ) -> bool {
+        self.buf.extend_from_slice(bytes);
+        let mut start = 0;
+        while let Some(len) = self.buf[start..].iter().position(|&b| b == b'\n') {
+            let line = &self.buf[start..start + len];
+            start += len + 1;
+            if line.len() > MAX_LINE {
+                handle(Err(LineTooLong));
+                return false;
+            }
+            if !handle(Ok(&String::from_utf8_lossy(line))) {
+                return false;
+            }
+        }
+        self.buf.drain(..start);
+        if self.buf.len() > MAX_LINE {
+            handle(Err(LineTooLong));
+            return false;
+        }
+        true
+    }
+
+    /// Hands a final line cut off without its newline to `handle` (it
+    /// becomes a typed `bad_json` reject unless it happens to parse).
+    pub(crate) fn finish(self, handle: &mut impl FnMut(Result<&str, LineTooLong>) -> bool) {
+        let line = String::from_utf8_lossy(&self.buf);
+        if !line.trim().is_empty() {
+            handle(Ok(&line));
+        }
+    }
 }
 
 /// One client connection: this thread reads and parses request lines;
 /// a paired writer thread owns the socket's write half and streams
 /// results, batch lines, and the per-connection drain line. The writer
-/// is a plain (unscoped) thread over `Arc`-shared state, joined before
-/// this function returns, so nothing outlives the connection.
+/// is joined before this function returns, so nothing outlives the
+/// connection.
 fn handle_conn(stream: TcpStream, core: &Core<'_>, conn_id: u64) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let _ = stream.set_read_timeout(Some(POLL));
     let (tx, rx) = mpsc::channel::<ConnEvent>();
-    let batches = Arc::new(Mutex::new(HashMap::<u64, BatchState>::new()));
-    let conn_ledger = Arc::new(Mutex::new(ServeSummary::default()));
-
-    let writer = {
-        let batches = Arc::clone(&batches);
-        let conn_ledger = Arc::clone(&conn_ledger);
-        std::thread::spawn(move || writer_loop(write_half, rx, &batches, &conn_ledger, conn_id))
-    };
-
-    let mut reader = ConnReader {
-        core,
-        tx: tx.clone(),
-        batches: &batches,
-        conn_ledger: &conn_ledger,
-        next_batch: 0,
-    };
-    read_lines(stream, core, |line| reader.handle_line(line));
-    let _ = tx.send(ConnEvent::Eof);
-    drop(tx);
-    drop(reader);
-    let _ = writer.join();
+    let writer = std::thread::spawn(move || {
+        let mut writer = ConnWriter::new(BufWriter::new(write_half));
+        while !(writer.eof && writer.batches.is_empty()) {
+            let Ok(event) = rx.recv() else { break };
+            writer.handle(event);
+        }
+        let line = writer
+            .ledger
+            .drain_fields(
+                ObjBuilder::event("drain")
+                    .str("scope", "connection")
+                    .u64("conn", conn_id),
+            )
+            .finish();
+        writer.write(&line);
+        if let Ok(stream) = writer.out.into_inner() {
+            let _ = stream.shutdown(Shutdown::Write);
+        }
+        writer.ledger
+    });
+    let mut reader = ConnReader::new(core, tx);
+    read_lines(stream, core, &mut reader);
+    reader.finish();
+    if let Ok(ledger) = writer.join() {
+        core.close_conn(&ledger);
+    }
 }
 
-/// Reads newline-delimited lines off the socket, polling the drain flag
-/// every [`POLL`]; a line truncated by the peer's close is still handed
-/// to `handle` (it becomes a typed `bad_json` reject, like the stdin
-/// pump's truncated final line). `handle` returns `false` to stop
-/// reading (shutdown request).
-fn read_lines(mut stream: TcpStream, core: &Core<'_>, mut handle: impl FnMut(&str) -> bool) {
-    let mut buf: Vec<u8> = Vec::new();
+/// Reads request lines off the socket, polling the drain flag every
+/// [`POLL`]; a line truncated by the peer's close is still handled (it
+/// becomes a typed `bad_json` reject, like stdin's truncated final
+/// line). Stops when the reader does (shutdown, overlong line).
+fn read_lines(mut stream: TcpStream, core: &Core<'_>, reader: &mut ConnReader<'_, '_>) {
+    let mut lines = LineSplitter::default();
     let mut chunk = [0u8; 4096];
-    let mut last_read = false;
-    'outer: loop {
-        if last_read {
-            break;
-        }
-        if core.draining.load(Relaxed) {
-            // Requests the peer sent before the drain began can still sit
-            // unread in the socket buffer (this connection's reader may
-            // not have run yet): take one more chunk without waiting, so
-            // they are served rather than silently dropped.
-            last_read = true;
-            if stream.set_nonblocking(true).is_err() {
-                break;
-            }
+    let mut handle = |line: Result<&str, LineTooLong>| reader.handle_line(line);
+    loop {
+        // Requests the peer sent before the drain began can still sit
+        // unread in the socket buffer (this connection's reader may not
+        // have run yet): take one more chunk without waiting, so they
+        // are served rather than silently dropped.
+        let last_read = core.draining.load(Relaxed);
+        if last_read && stream.set_nonblocking(true).is_err() {
+            return;
         }
         match stream.read(&mut chunk) {
             Ok(0) => break,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..pos]);
-                    if !handle(&line) {
-                        break 'outer;
-                    }
-                }
-            }
+            Ok(n) if !lines.feed(&chunk[..n], &mut handle) => return,
+            Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => break, // peer reset: same as EOF
         }
-    }
-    if !core.draining.load(Relaxed) && !buf.is_empty() {
-        let line = String::from_utf8_lossy(&buf);
-        if !line.trim().is_empty() {
-            handle(&line);
+        if last_read {
+            return;
         }
+    }
+    if !core.draining.load(Relaxed) {
+        lines.finish(&mut handle);
     }
 }
 
-/// The reader half's state and admission logic.
-struct ConnReader<'a, 'o> {
+/// The reader half of a connection: request dispatch and two-stage
+/// admission.
+pub(crate) struct ConnReader<'a, 'o> {
     core: &'a Core<'o>,
     tx: mpsc::Sender<ConnEvent>,
-    batches: &'a Mutex<HashMap<u64, BatchState>>,
-    conn_ledger: &'a Mutex<ServeSummary>,
+    /// Admission-side counts: batches, submitted, admission sheds,
+    /// protocol errors.
+    ledger: ServeSummary,
     next_batch: u64,
 }
 
-impl ConnReader<'_, '_> {
+impl<'a, 'o> ConnReader<'a, 'o> {
+    pub(crate) fn new(core: &'a Core<'o>, tx: mpsc::Sender<ConnEvent>) -> Self {
+        ConnReader {
+            core,
+            tx,
+            ledger: ServeSummary::default(),
+            next_batch: 0,
+        }
+    }
+
+    /// Ends the connection's reading: hands the writer the admission
+    /// ledger, after every line this reader sent.
+    pub(crate) fn finish(self) {
+        let _ = self.tx.send(ConnEvent::Eof(self.ledger));
+    }
+
     fn send_line(&self, line: String) {
         let _ = self.tx.send(ConnEvent::Line(line));
     }
 
-    fn reject(&self, code: &str, message: &str) {
-        let core = self.core;
-        lock_clean(self.conn_ledger).protocol_errors += 1;
-        lock_clean(&core.ledger).protocol_errors += 1;
-        core.reg.inc(0, core.ids.protocol_errors);
+    pub(crate) fn reject(&mut self, code: &str, message: &str) {
+        self.ledger.protocol_errors += 1;
+        self.core.reg.inc(0, self.core.ids.protocol_errors);
         self.send_line(
             ObjBuilder::event("reject")
                 .str("reason", "bad_request")
@@ -466,8 +495,15 @@ impl ConnReader<'_, '_> {
     }
 
     /// Returns `false` when the connection must stop reading (a
-    /// shutdown request).
-    fn handle_line(&mut self, line: &str) -> bool {
+    /// shutdown request or an overlong line).
+    pub(crate) fn handle_line(&mut self, line: Result<&str, LineTooLong>) -> bool {
+        let Ok(line) = line else {
+            self.reject(
+                "line_too_long",
+                &format!("request line exceeds {MAX_LINE} bytes"),
+            );
+            return false;
+        };
         if line.trim().is_empty() {
             return true;
         }
@@ -502,37 +538,23 @@ impl ConnReader<'_, '_> {
             .families
             .as_deref()
             .or(core.opts.default_families.as_deref());
-        // A daemon pinned to a large family has no rotation to filter:
-        // every index runs the pinned family (mirrors batch `run_case`).
-        let jobs: Vec<usize> = if core.opts.tuning.scenario_family.is_some() {
-            (0..request.count).collect()
-        } else {
-            job_indices(request.count, families)
-        };
-        {
-            let mut conn = lock_clean(self.conn_ledger);
-            conn.batches += 1;
-            conn.submitted += jobs.len();
-            let mut ledger = lock_clean(&core.ledger);
-            ledger.batches += 1;
-            ledger.submitted += jobs.len();
-        }
+        let jobs = job_indices(request.count, families, &core.opts.tuning);
+        self.ledger.batches += 1;
+        self.ledger.submitted += jobs.len();
         core.reg.inc(0, core.ids.batches);
 
         // Admission stage 1: an already-expired deadline sheds the
         // whole batch before it touches the queue.
         if request.deadline_ms == Some(0) {
             {
-                let acc = lock_clean(&core.accounting);
+                let _acc = lock_clean(&core.accounting);
                 core.reg.add(0, core.ids.submitted, jobs.len() as u64);
                 core.reg
                     .add(0, core.ids.shed_over_deadline, jobs.len() as u64);
                 core.reg
                     .add_labeled(core.ids.tenant_shed, &client, jobs.len() as u64);
-                drop(acc);
             }
-            lock_clean(self.conn_ledger).shed_over_deadline += jobs.len();
-            lock_clean(&core.ledger).shed_over_deadline += jobs.len();
+            self.ledger.shed_over_deadline += jobs.len();
             self.send_line(
                 ObjBuilder::event("reject")
                     .str("reason", "over_deadline")
@@ -551,15 +573,15 @@ impl ConnReader<'_, '_> {
         }
 
         // Admission stage 2: the shared queue is bounded; concurrent
-        // connections compete for the remaining depth, so unlike the
-        // one-batch-at-a-time stdin pump the shed count here depends on
-        // live occupancy — that is the admission control working.
+        // connections compete for the remaining depth, so the shed count
+        // depends on live occupancy — that is the admission control
+        // working. (A lockstep connection alone always finds it empty.)
         let deadline = request
             .deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
         let (accepted, shed) = {
             let mut acc = lock_clean(&core.accounting);
-            let room = (self.core.queue_depth as u64).saturating_sub(acc.queued) as usize;
+            let room = (core.queue_depth as u64).saturating_sub(acc.queued) as usize;
             let accepted = jobs.len().min(room);
             let shed = jobs.len() - accepted;
             acc.queued += accepted as u64;
@@ -573,8 +595,7 @@ impl ConnReader<'_, '_> {
             (accepted, shed)
         };
         if shed > 0 {
-            lock_clean(self.conn_ledger).shed_queue_full += shed;
-            lock_clean(&core.ledger).shed_queue_full += shed;
+            self.ledger.shed_queue_full += shed;
             self.send_line(
                 ObjBuilder::event("reject")
                     .str("reason", "queue_full")
@@ -609,18 +630,16 @@ impl ConnReader<'_, '_> {
 
         let seq = self.next_batch;
         self.next_batch += 1;
-        lock_clean(self.batches).insert(
+        let _ = self.tx.send(ConnEvent::Batch(
             seq,
             BatchState {
                 requested: request.count,
                 accepted,
                 shed,
-                dequeue_shed: 0,
-                failed: 0,
-                remaining: accepted,
                 tag: request.tag.clone(),
+                ledger: ServeSummary::default(),
             },
-        );
+        ));
         let enqueued = Instant::now();
         for &index in jobs.iter().take(accepted) {
             let directive = core
@@ -665,115 +684,104 @@ fn batch_line(
     b.finish()
 }
 
-/// The connection's writer half: serializes every outbound line, folds
-/// completions into the per-connection ledger, emits batch lines as
-/// batches finish, and ends with the per-connection drain line. A write
-/// failure (client hung up) switches to sink mode — completions still
-/// drain so the global ledger stays balanced.
-fn writer_loop(
-    stream: TcpStream,
-    rx: mpsc::Receiver<ConnEvent>,
-    batches: &Mutex<HashMap<u64, BatchState>>,
-    conn_ledger: &Mutex<ServeSummary>,
-    conn_id: u64,
-) {
-    let mut out = BufWriter::new(stream);
-    let mut dead = false;
-    let mut eof = false;
-    let write = |out: &mut BufWriter<TcpStream>, dead: &mut bool, line: &str| {
-        if !*dead && (writeln!(out, "{line}").is_err() || out.flush().is_err()) {
-            *dead = true;
+/// One admitted batch, tracked by its connection's writer until its
+/// last completion.
+pub(crate) struct BatchState {
+    requested: usize,
+    accepted: usize,
+    /// Admission-time `queue_full` sheds.
+    shed: usize,
+    tag: Option<String>,
+    /// The batch's completions (dequeue-time sheds included).
+    ledger: ServeSummary,
+}
+
+/// The writer half of a connection: serializes every outbound line,
+/// folds each completion into its batch's ledger, writes batch lines as
+/// batches finish, and keeps the connection's ledger. A write failure
+/// (client hung up) is kept in `error` and switches to sink mode —
+/// completions still fold, so the ledger stays balanced.
+pub(crate) struct ConnWriter<W: Write> {
+    out: W,
+    pub(crate) error: Option<io::Error>,
+    /// Admitted batches still in flight, by sequence number.
+    batches: HashMap<u64, BatchState>,
+    /// Finished batches plus, after EOF, the reader's admission counts.
+    pub(crate) ledger: ServeSummary,
+    eof: bool,
+}
+
+impl<W: Write> ConnWriter<W> {
+    pub(crate) fn new(out: W) -> Self {
+        ConnWriter {
+            out,
+            error: None,
+            batches: HashMap::new(),
+            ledger: ServeSummary::default(),
+            eof: false,
         }
-    };
-    loop {
-        if eof && lock_clean(batches).is_empty() {
-            break;
+    }
+
+    fn write(&mut self, line: &str) {
+        if self.error.is_none() {
+            if let Err(e) = writeln!(self.out, "{line}").and_then(|()| self.out.flush()) {
+                self.error = Some(e);
+            }
         }
-        let Ok(event) = rx.recv() else { break };
+    }
+
+    /// Handles one event from the connection's reader or a worker.
+    fn handle(&mut self, event: ConnEvent) {
         match event {
-            ConnEvent::Line(line) => write(&mut out, &mut dead, &line),
-            ConnEvent::Eof => eof = true,
+            ConnEvent::Line(line) => self.write(&line),
+            ConnEvent::Batch(seq, state) => {
+                self.batches.insert(seq, state);
+            }
+            ConnEvent::Eof(admission) => {
+                self.ledger.absorb(&admission);
+                self.eof = true;
+            }
             ConnEvent::Done(seq, done) => {
-                {
-                    let mut conn = lock_clean(conn_ledger);
-                    match done.class {
-                        CompletionClass::Completed { ok } => {
-                            conn.sessions += 1;
-                            conn.completed += 1;
-                            if !ok {
-                                conn.failures += 1;
-                            }
-                        }
-                        CompletionClass::DeadlineExceeded => {
-                            conn.sessions += 1;
-                            conn.deadline_exceeded += 1;
-                            conn.failures += 1;
-                        }
-                        CompletionClass::Panicked => {
-                            conn.sessions += 1;
-                            conn.quarantined += 1;
-                            conn.failures += 1;
-                        }
-                        CompletionClass::Shed => conn.shed_over_deadline += 1,
-                    }
-                    if !matches!(done.class, CompletionClass::Shed) {
-                        conn.latencies_ms.push(done.wall_ms);
-                        conn.transport_retries += done.retries;
-                        conn.cost.absorb(&done.cost);
-                    }
-                }
-                write(&mut out, &mut dead, &done.line);
+                self.write(&done.line);
                 if let Some(trace_line) = &done.trace_line {
-                    write(&mut out, &mut dead, trace_line);
+                    self.write(trace_line);
                 }
-                let mut map = lock_clean(batches);
-                if let Some(state) = map.get_mut(&seq) {
-                    match done.class {
-                        CompletionClass::Shed => state.dequeue_shed += 1,
-                        CompletionClass::Completed { ok: true } => {}
-                        _ => state.failed += 1,
-                    }
-                    state.remaining -= 1;
-                    if state.remaining == 0 {
-                        let line = batch_line(
-                            state.requested,
-                            state.accepted - state.dequeue_shed,
-                            state.failed,
-                            state.shed + state.dequeue_shed,
-                            state.tag.as_deref(),
-                        );
-                        map.remove(&seq);
-                        drop(map);
-                        write(&mut out, &mut dead, &line);
-                    }
+                let Some(state) = self.batches.get_mut(&seq) else {
+                    return;
+                };
+                state.ledger.record(&done);
+                let ran = state.ledger.sessions;
+                if ran + state.ledger.shed_over_deadline == state.accepted {
+                    let state = self.batches.remove(&seq).expect("batch is tracked");
+                    let done = &state.ledger;
+                    self.write(&batch_line(
+                        state.requested,
+                        ran,
+                        done.failures,
+                        state.shed + done.shed_over_deadline,
+                        state.tag.as_deref(),
+                    ));
+                    self.ledger.absorb(done);
                 }
             }
         }
     }
-    let conn = lock_clean(conn_ledger);
-    let line = ObjBuilder::event("drain")
-        .str("scope", "connection")
-        .u64("conn", conn_id)
-        .u64("batches", conn.batches as u64)
-        .u64("sessions", conn.sessions as u64)
-        .u64("failures", conn.failures as u64)
-        .u64("protocol_errors", conn.protocol_errors as u64)
-        .u64("submitted", conn.submitted as u64)
-        .u64("completed", conn.completed as u64)
-        .u64("shed_queue_full", conn.shed_queue_full as u64)
-        .u64("shed_over_deadline", conn.shed_over_deadline as u64)
-        .u64("deadline_exceeded", conn.deadline_exceeded as u64)
-        .u64("quarantined", conn.quarantined as u64)
-        .u64("transport_retries", conn.transport_retries as u64)
-        .bool("accounted", conn.accounted())
-        .u64("llm_calls", conn.cost.total_calls())
-        .u64("milli_cost", conn.cost.total_milli_cost())
-        .bool("cost_accounted", conn.cost.conserved())
-        .finish();
-    write(&mut out, &mut dead, &line);
-    let _ = out.flush();
-    if let Ok(stream) = out.into_inner() {
-        let _ = stream.shutdown(Shutdown::Write);
+
+    /// Handles queued events until no batch is in flight and nothing is
+    /// queued. The lockstep stdin connection reads its next line only
+    /// after this.
+    pub(crate) fn settle(&mut self, rx: &mpsc::Receiver<ConnEvent>) {
+        loop {
+            let event = if self.batches.is_empty() {
+                rx.try_recv().ok()
+            } else {
+                rx.recv().ok()
+            };
+            match event {
+                Some(event) => self.handle(event),
+                None => return,
+            }
+        }
     }
 }
 
@@ -782,25 +790,11 @@ fn writer_loop(
 /// extended conservation law is exact (see the module docs).
 fn render_prometheus(core: &Core<'_>) -> String {
     use std::fmt::Write as _;
-    let snap: Snapshot = {
+    let snap = {
         let _acc = lock_clean(&core.accounting);
         core.reg.snapshot()
     };
-    let accounted = snap.counter("submitted")
-        == snap.counter("completed")
-            + snap.counter("shed_queue_full")
-            + snap.counter("shed_over_deadline")
-            + snap.counter("deadline_exceeded")
-            + snap.counter("quarantined")
-            + snap.gauge("queue_depth")
-            + snap.gauge("in_flight_sessions");
-    let cost_accounted = snap.counter("milli_cost")
-        == Tier::ALL
-            .iter()
-            .map(|t| {
-                snap.counter(&format!("backend_calls_{}", t.metric_suffix())) * t.unit_milli_cost()
-            })
-            .sum::<u64>();
+    let (accounted, cost_accounted) = identities(&snap);
     let mut out = snap.to_prometheus("fleetd_");
     let _ = writeln!(out, "# TYPE fleetd_accounted gauge");
     let _ = writeln!(out, "fleetd_accounted {}", accounted as u8);

@@ -1,9 +1,12 @@
-//! `fleetd` — the resident service front-end behind `fleet --serve`.
+//! `fleetd` — the request protocol and the stdin front-end behind
+//! `fleet --serve`.
 //!
-//! Keeps the worker pool and its warm [`VerifierContext`]s alive across
-//! batches: workers are spawned once, each owns a manager pool for its
-//! whole lifetime, and job batches stream through a per-worker sharded
-//! queue with work-stealing ([`ShardedQueue`]). The
+//! There is one serving engine: the socket daemon's worker pool,
+//! admission, and per-connection reader/writer in [`crate::server`].
+//! [`serve`] drives it as a single connection whose lines come from
+//! stdin. Workers are spawned once, each owns a warm
+//! [`VerifierContext`] for its whole lifetime, and jobs stream through
+//! a per-worker sharded queue with work-stealing ([`ShardedQueue`]). The
 //! protocol is line-oriented on both sides:
 //!
 //! * **Requests** (one JSON object per line on stdin):
@@ -14,7 +17,9 @@
 //!   alias) filters the deterministic scenario stream exactly like
 //!   `fleet --families`; `deadline_ms` is the batch's admission
 //!   deadline (jobs still queued when it expires are shed, and `0`
-//!   means already-expired: the whole batch is shed at admission).
+//!   means already-expired: the whole batch is shed at admission). A
+//!   line is at most 64 KiB (`server::MAX_LINE`); bytes that are not
+//!   UTF-8 are decoded lossily (and so become a `bad_json` reject).
 //! * **Results** (one JSON object per line on stdout): each session's
 //!   metrics as rendered by [`UseCase::result_json`], streamed in
 //!   completion order as workers finish them. Every session result
@@ -23,34 +28,41 @@
 //! * **Rejects**: work the service refuses is *accounted*, never
 //!   dropped silently — one `{"event":"reject","reason":...}` line per
 //!   refusal (aggregated with a `shed` count for admission-time sheds).
-//!   Reasons: `bad_request` (with the [`RequestError`] `code`),
-//!   `queue_full`, `over_deadline`.
+//!   Reasons: `bad_request` (with the [`RequestError`] `code`, or
+//!   `family_filter`, `line_too_long`, `read_error`), `queue_full`,
+//!   `over_deadline`. A batch's rejects precede its results.
 //! * **Batch end**: after every batch, one
 //!   `{"event":"batch","requested":N,"completed":N,"failed":N,"shed":S}`
 //!   line.
-//! * **Drain**: on stdin EOF the pool drains and the final line reports
-//!   the resident-engine counters plus the robustness ledger —
+//! * **Drain**: on stdin EOF (or a `line_too_long` or `read_error`
+//!   reject, which stop reading) the pool drains and the final line
+//!   reports the resident-engine counters plus the robustness ledger —
 //!   submitted/completed/shed/deadline-exceeded/quarantined and
 //!   `"accounted":true` when the identity
 //!   `submitted = completed + shed + deadline_exceeded + quarantined`
 //!   holds.
 //!
-//! Batches run one at a time (requests are read between batches), which
-//! keeps result attribution trivial and makes admission deterministic:
-//! the queue is empty at every enqueue, so `queue_full` sheds exactly
-//! `max(0, batch - depth)` jobs regardless of worker scheduling.
+//! The stdin connection runs in lockstep: the next line is read only
+//! once the current batch's batch line is written. That keeps result
+//! attribution trivial and admission deterministic: the queue is empty
+//! at every enqueue, so `queue_full` sheds exactly `max(0, batch -
+//! depth)` jobs regardless of worker scheduling, and a mid-run
+//! `{"metrics":true}` snapshot sees no queued or in-flight job.
 
-use crate::{cases, chaos, job_indices, lock_clean, PoolCounters, SessionTuning, UseCase};
+use crate::server::{ConnReader, ConnWriter, Core, LineSplitter, LineTooLong};
+use crate::{cases, chaos, lock_clean, PoolCounters, SessionTuning, UseCase};
 use cosynth::session::SessionBudget;
 use cosynth::VerifierContext;
 use llm_sim::{CostLedger, Tier, TransportModel};
 use std::collections::VecDeque;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
-use telemetry::{CounterId, GaugeId, HistId, LabeledId, Registry, SessionTrace, StageHists};
+use telemetry::{
+    CounterId, GaugeId, HistId, LabeledId, Registry, SessionTrace, Snapshot, StageHists,
+};
 use topo_model::json::{self, Json, ObjBuilder};
 
 /// Service configuration.
@@ -63,8 +75,8 @@ pub struct ServeOptions {
     /// Topology-family filter applied to requests that carry none of
     /// their own (the CLI's `--families` under `--serve`).
     pub default_families: Option<Vec<String>>,
-    /// Admission control: jobs a single batch may enqueue. A batch
-    /// larger than this is admitted up to the depth and the excess is
+    /// Admission control: the admission queue's total depth. A batch
+    /// larger than the room left is admitted up to it and the excess is
     /// shed with a typed `queue_full` reject.
     pub queue_depth: usize,
     /// Robustness knobs applied to every served session.
@@ -98,8 +110,8 @@ impl Default for ServeOptions {
     }
 }
 
-/// The admission queue behind both service front-ends: one bounded
-/// `VecDeque` shard per worker, with work-stealing.
+/// The admission queue behind the serving engine and the batch pool:
+/// one bounded `VecDeque` shard per worker, with work-stealing.
 ///
 /// Sharding keeps the hot path a short, mostly-uncontended lock: a
 /// worker pops its own shard first and only scans the others when it
@@ -230,8 +242,9 @@ pub struct ServeSummary {
     pub quarantined: usize,
     /// Transport retries absorbed across all sessions.
     pub transport_retries: usize,
-    /// Wall-clock of every run session, milliseconds, in completion
-    /// order (the chaos harness folds these into latency percentiles).
+    /// Wall-clock of every run session, milliseconds, grouped by batch
+    /// in the order batches finished (the chaos harness folds these
+    /// into latency percentiles).
     pub latencies_ms: Vec<f64>,
     /// Per-backend model-cost ledger folded over every session that ran
     /// (shed jobs and panicked sessions contribute empty ledgers).
@@ -261,6 +274,71 @@ impl ServeSummary {
             && self.shed_queue_full == 0
             && self.shed_over_deadline == 0
             && self.accounted()
+    }
+
+    /// Folds one dequeued job's outcome into the ledger — the only place
+    /// a [`Completion`] reaches a ledger.
+    pub(crate) fn record(&mut self, done: &Completion) {
+        match done.class {
+            CompletionClass::Shed => {
+                self.shed_over_deadline += 1;
+                return;
+            }
+            CompletionClass::Completed { ok } => {
+                self.completed += 1;
+                self.failures += usize::from(!ok);
+            }
+            CompletionClass::DeadlineExceeded => {
+                self.deadline_exceeded += 1;
+                self.failures += 1;
+            }
+            CompletionClass::Panicked => {
+                self.quarantined += 1;
+                self.failures += 1;
+            }
+        }
+        self.sessions += 1;
+        self.latencies_ms.push(done.wall_ms);
+        self.transport_retries += done.retries;
+        self.cost.absorb(&done.cost);
+    }
+
+    /// Adds another ledger's counts to this one: a finished batch into
+    /// its connection, a closed connection into the daemon's total.
+    /// `pool` is left alone (it is filled once, at drain).
+    pub(crate) fn absorb(&mut self, other: &ServeSummary) {
+        self.batches += other.batches;
+        self.sessions += other.sessions;
+        self.failures += other.failures;
+        self.protocol_errors += other.protocol_errors;
+        self.submitted += other.submitted;
+        self.completed += other.completed;
+        self.shed_queue_full += other.shed_queue_full;
+        self.shed_over_deadline += other.shed_over_deadline;
+        self.deadline_exceeded += other.deadline_exceeded;
+        self.quarantined += other.quarantined;
+        self.transport_retries += other.transport_retries;
+        self.latencies_ms.extend_from_slice(&other.latencies_ms);
+        self.cost.absorb(&other.cost);
+    }
+
+    /// Appends the ledger fields every `{"event":"drain"}` line carries.
+    pub(crate) fn drain_fields(&self, b: ObjBuilder) -> ObjBuilder {
+        b.u64("batches", self.batches as u64)
+            .u64("sessions", self.sessions as u64)
+            .u64("failures", self.failures as u64)
+            .u64("protocol_errors", self.protocol_errors as u64)
+            .u64("submitted", self.submitted as u64)
+            .u64("completed", self.completed as u64)
+            .u64("shed_queue_full", self.shed_queue_full as u64)
+            .u64("shed_over_deadline", self.shed_over_deadline as u64)
+            .u64("deadline_exceeded", self.deadline_exceeded as u64)
+            .u64("quarantined", self.quarantined as u64)
+            .u64("transport_retries", self.transport_retries as u64)
+            .bool("accounted", self.accounted())
+            .u64("llm_calls", self.cost.total_calls())
+            .u64("milli_cost", self.cost.total_milli_cost())
+            .bool("cost_accounted", self.cost.conserved())
     }
 }
 
@@ -680,15 +758,15 @@ pub(crate) struct MetricIds {
     /// spend per tier without knowing the unit prices.
     pub(crate) backend_milli_cost: [CounterId; Tier::ALL.len()],
     pub(crate) queue_depth_hwm: GaugeId,
-    /// Instantaneous queue depth (socket front-end; the stdin pump's
-    /// queue is empty at every snapshot point by construction).
+    /// Instantaneous queue depth (the lockstep stdin connection's queue
+    /// is empty at every snapshot point by construction).
     pub(crate) queue_depth: GaugeId,
-    /// Sessions currently running on a worker (socket front-end).
+    /// Sessions currently running on a worker.
     pub(crate) in_flight_sessions: GaugeId,
     /// Open client connections (socket front-end).
     pub(crate) open_connections: GaugeId,
     pub(crate) session: HistId,
-    /// Admission-to-dequeue wait per job (socket front-end).
+    /// Admission-to-dequeue wait per job.
     pub(crate) queue_wait: HistId,
     pub(crate) stages: StageHists,
     /// Per-tenant (`client`-labeled) accounting families.
@@ -732,9 +810,29 @@ impl MetricIds {
         }
     }
 
-    /// Folds one *ran* completion's cost ledger into the global and
-    /// per-tenant cost counters (shard `shard`).
-    pub(crate) fn fold_cost(&self, reg: &Registry, shard: usize, cost: &CostLedger, client: &str) {
+    /// Folds one dequeued job's outcome into the registry (shard
+    /// `shard`, tenant `client`) — the only place a [`Completion`]
+    /// reaches the counters.
+    pub(crate) fn record(&self, reg: &Registry, shard: usize, done: &Completion, client: &str) {
+        let outcome = match done.class {
+            CompletionClass::Shed => {
+                reg.inc(shard, self.shed_over_deadline);
+                reg.add_labeled(self.tenant_shed, client, 1);
+                return;
+            }
+            CompletionClass::Completed { .. } => self.completed,
+            CompletionClass::DeadlineExceeded => {
+                reg.add_labeled(self.tenant_deadline_exceeded, client, 1);
+                self.deadline_exceeded
+            }
+            CompletionClass::Panicked => self.quarantined,
+        };
+        reg.inc(shard, outcome);
+        reg.add_labeled(self.tenant_sessions, client, 1);
+        reg.add(shard, self.transport_retries, done.retries as u64);
+        reg.observe_ns(shard, self.session, (done.wall_ms * 1e6) as u64);
+        self.stages.observe(reg, shard, &done.trace);
+        let cost = &done.cost;
         reg.add(shard, self.llm_calls, cost.total_calls());
         reg.add(shard, self.milli_cost, cost.total_milli_cost());
         for (i, t) in Tier::ALL.iter().enumerate() {
@@ -753,18 +851,17 @@ impl MetricIds {
     }
 }
 
-/// Renders one `{"event":"metrics"}` line: the accounting counters,
-/// queue high-water mark, and per-stage latency histograms, with
-/// `accounted` recomputed from the snapshot itself (so a consumer can
-/// check the conservation law without waiting for the drain line).
-/// Pool-derived rates are only available at drain, after the workers
-/// have reported their contexts.
-pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounters>) -> String {
-    let snap = reg.snapshot();
-    // The extended conservation law: on the socket front-end a snapshot
-    // can land mid-flight, so jobs sitting in the queue or on a worker
-    // count as their own states. The stdin pump's gauges are zero at
-    // every snapshot point, so this reduces to the drain identity there.
+/// The two conservation identities, recomputed from a registry
+/// snapshot: `(accounted, cost_accounted)`.
+///
+/// * `accounted` is the extended ledger law. A snapshot can land
+///   mid-flight, so jobs sitting in the queue or on a worker count as
+///   their own states: `submitted = completed + shed_queue_full +
+///   shed_over_deadline + deadline_exceeded + quarantined +
+///   queue_depth + in_flight_sessions`.
+/// * `cost_accounted`: total milli-cost equals the per-tier call
+///   counters priced at the tiers' unit costs.
+pub(crate) fn identities(snap: &Snapshot) -> (bool, bool) {
     let accounted = snap.counter("submitted")
         == snap.counter("completed")
             + snap.counter("shed_queue_full")
@@ -773,9 +870,6 @@ pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounte
             + snap.counter("quarantined")
             + snap.gauge("queue_depth")
             + snap.gauge("in_flight_sessions");
-    // The cost conservation identity, recomputed from the snapshot's
-    // own counters: total milli-cost equals the per-tier call counters
-    // priced at the tiers' unit costs.
     let cost_accounted = snap.counter("milli_cost")
         == Tier::ALL
             .iter()
@@ -783,6 +877,18 @@ pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounte
                 snap.counter(&format!("backend_calls_{}", t.metric_suffix())) * t.unit_milli_cost()
             })
             .sum::<u64>();
+    (accounted, cost_accounted)
+}
+
+/// Renders one `{"event":"metrics"}` line: the accounting counters,
+/// queue high-water mark, and per-stage latency histograms, with the
+/// [`identities`] recomputed from the snapshot itself (so a consumer
+/// can check the conservation law without waiting for the drain line).
+/// Pool-derived rates are only available at drain, after the workers
+/// have reported their contexts.
+pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounters>) -> String {
+    let snap = reg.snapshot();
+    let (accounted, cost_accounted) = identities(&snap);
     let mut b = ObjBuilder::event("metrics")
         .bool("drain", drain)
         .bool("accounted", accounted)
@@ -803,343 +909,72 @@ pub(crate) fn metrics_json(reg: &Registry, drain: bool, pool: Option<&PoolCounte
         .finish()
 }
 
-/// Runs the service loop: reads request lines from `input`, streams
-/// result lines to `output`, drains on EOF, and returns the summary.
-/// Workers (and their warm contexts) live for the whole call.
+/// Runs the service over one stdin-like stream: drives the serving
+/// engine as a single lockstep connection (see the module docs) whose
+/// lines come from `input` and whose results go to `output`, drains on
+/// EOF, and returns the summary. Workers (and their warm contexts) live
+/// for the whole call.
 pub fn serve(
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     opts: &ServeOptions,
 ) -> std::io::Result<ServeSummary> {
-    let threads = opts.threads.max(2);
-    let queue_depth = opts.queue_depth.max(1);
-    let queue: ShardedQueue<Job> = ShardedQueue::new(threads);
-    let counters: Mutex<PoolCounters> = Mutex::new(PoolCounters::default());
-    let (tx, rx) = mpsc::channel::<Completion>();
-    let mut summary = ServeSummary::default();
-    // The telemetry registry shadows the summary's ledger so a
-    // `{"metrics":true}` request can snapshot it mid-run; all updates
-    // happen on the pump thread (shard 0) — the workers report through
-    // the completion channel, never the registry.
-    let mut reg = Registry::new(1);
-    let ids = MetricIds::register(&mut reg);
-    let reg = &reg;
-
-    let io_result = std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queue = &queue;
-            let counters = &counters;
-            let tuning = &opts.tuning;
-            let stream_traces = opts.stream_traces;
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let mut ctx = if opts.pool_managers {
-                    VerifierContext::new()
-                } else {
-                    VerifierContext::without_pooling()
-                };
-                while let Some(job) = queue.pop(w) {
-                    // A send can only fail after serve() returned, which
-                    // cannot happen while workers are still scoped.
-                    let _ = tx.send(run_job(job, &mut ctx, tuning, stream_traces));
-                }
-                ctx.flush();
-                lock_clean(counters).absorb(&ctx);
-            });
-        }
-
-        // The request loop runs inside a closure so every exit path —
-        // EOF or I/O error — still flips the shutdown flag below;
-        // otherwise a failed write would leave workers parked on the
-        // condvar and the scope would never join.
-        let mut chaos_seq: u64 = 0;
-        let pump = |summary: &mut ServeSummary| -> std::io::Result<()> {
-            for line in input.lines() {
-                // A stdin read error (e.g. a final line with invalid
-                // bytes, cut off mid-write) is a bad request, not a
-                // service abort: reject it and drain gracefully so the
-                // summary still balances.
-                let line = match line {
-                    Ok(l) => l,
-                    Err(e) => {
-                        summary.protocol_errors += 1;
-                        reg.inc(0, ids.protocol_errors);
-                        writeln!(
-                            output,
-                            "{}",
-                            ObjBuilder::event("reject")
-                                .str("reason", "bad_request")
-                                .str("code", "read_error")
-                                .str("message", &e.to_string())
-                                .finish()
-                        )?;
-                        output.flush()?;
-                        break;
-                    }
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let request = match parse_request(&line) {
-                    Ok(Request::Batch(r)) => r,
-                    Ok(Request::Metrics) => {
-                        writeln!(output, "{}", metrics_json(reg, false, None))?;
-                        output.flush()?;
-                        continue;
-                    }
-                    Ok(Request::Shutdown) => {
-                        // Graceful drain: acknowledge, stop reading, and
-                        // fall through to the EOF path (workers drain,
-                        // the final line is the drain summary).
-                        writeln!(
-                            output,
-                            "{}",
-                            ObjBuilder::event("shutdown")
-                                .bool("draining", true)
-                                .finish()
-                        )?;
-                        output.flush()?;
-                        break;
-                    }
-                    Err(err) => {
-                        summary.protocol_errors += 1;
-                        reg.inc(0, ids.protocol_errors);
-                        writeln!(
-                            output,
-                            "{}",
-                            ObjBuilder::event("reject")
-                                .str("reason", "bad_request")
-                                .str("code", err.code())
-                                .str("message", &err.to_string())
-                                .finish()
-                        )?;
-                        output.flush()?;
-                        continue;
-                    }
-                };
-                summary.batches += 1;
-                reg.inc(0, ids.batches);
-                let client = request.client.as_deref().unwrap_or(ANONYMOUS_CLIENT);
-                let families = request
-                    .families
-                    .as_deref()
-                    .or(opts.default_families.as_deref());
-                // A daemon pinned to a large family has no rotation to
-                // filter: every index runs the pinned family, exactly
-                // like `run_case` in batch mode.
-                let jobs: Vec<usize> = if opts.tuning.scenario_family.is_some() {
-                    (0..request.count).collect()
-                } else {
-                    job_indices(request.count, families)
-                };
-                summary.submitted += jobs.len();
-                reg.add(0, ids.submitted, jobs.len() as u64);
-
-                // Admission, stage 1: an already-expired batch deadline
-                // sheds the whole batch (deterministically — no timing
-                // race against the workers).
-                if request.deadline_ms == Some(0) {
-                    summary.shed_over_deadline += jobs.len();
-                    reg.add(0, ids.shed_over_deadline, jobs.len() as u64);
-                    reg.add_labeled(ids.tenant_shed, client, jobs.len() as u64);
-                    writeln!(
-                        output,
-                        "{}",
-                        ObjBuilder::event("reject")
-                            .str("reason", "over_deadline")
-                            .str("use_case", request.use_case.name())
-                            .u64("shed", jobs.len() as u64)
-                            .finish()
-                    )?;
-                    let mut b = ObjBuilder::event("batch")
-                        .u64("requested", request.count as u64)
-                        .u64("completed", 0)
-                        .u64("failed", 0)
-                        .u64("shed", jobs.len() as u64);
-                    if let Some(tag) = &request.tag {
-                        b = b.str("tag", tag);
-                    }
-                    writeln!(output, "{}", b.finish())?;
-                    output.flush()?;
-                    continue;
-                }
-
-                // Admission, stage 2: the queue is bounded. Batches run
-                // one at a time, so the queue is empty here and the
-                // shed count is exactly max(0, batch - depth).
-                let accepted = jobs.len().min(queue_depth);
-                let shed = jobs.len() - accepted;
-                reg.gauge_max(ids.queue_depth_hwm, accepted as u64);
-                if shed > 0 {
-                    summary.shed_queue_full += shed;
-                    reg.add(0, ids.shed_queue_full, shed as u64);
-                    reg.add_labeled(ids.tenant_shed, client, shed as u64);
-                    writeln!(
-                        output,
-                        "{}",
-                        ObjBuilder::event("reject")
-                            .str("reason", "queue_full")
-                            .str("use_case", request.use_case.name())
-                            .u64("shed", shed as u64)
-                            .u64("queue_depth", queue_depth as u64)
-                            .finish()
-                    )?;
-                }
-                let deadline = request
-                    .deadline_ms
-                    .map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
-                for &index in jobs.iter().take(accepted) {
-                    let directive = opts.chaos.as_ref().map(|p| p.directive(chaos_seq));
-                    chaos_seq += 1;
-                    queue.push(Job {
-                        kind: request.use_case,
-                        seed: request.seed,
-                        index,
-                        directive,
-                        deadline,
-                    });
-                }
-                queue.notify();
-                let mut failed = 0usize;
-                let mut batch_shed = shed;
-                for _ in 0..accepted {
-                    let done = rx.recv().expect("workers outlive the batch");
-                    let ran = !matches!(done.class, CompletionClass::Shed);
-                    match done.class {
-                        CompletionClass::Completed { ok } => {
-                            summary.sessions += 1;
-                            summary.completed += 1;
-                            reg.inc(0, ids.completed);
-                            reg.add_labeled(ids.tenant_sessions, client, 1);
-                            summary.latencies_ms.push(done.wall_ms);
-                            summary.transport_retries += done.retries;
-                            if !ok {
-                                failed += 1;
-                            }
-                        }
-                        CompletionClass::DeadlineExceeded => {
-                            summary.sessions += 1;
-                            summary.deadline_exceeded += 1;
-                            reg.inc(0, ids.deadline_exceeded);
-                            reg.add_labeled(ids.tenant_sessions, client, 1);
-                            reg.add_labeled(ids.tenant_deadline_exceeded, client, 1);
-                            summary.latencies_ms.push(done.wall_ms);
-                            summary.transport_retries += done.retries;
-                            failed += 1;
-                        }
-                        CompletionClass::Panicked => {
-                            summary.sessions += 1;
-                            summary.quarantined += 1;
-                            reg.inc(0, ids.quarantined);
-                            reg.add_labeled(ids.tenant_sessions, client, 1);
-                            summary.latencies_ms.push(done.wall_ms);
-                            failed += 1;
-                        }
-                        CompletionClass::Shed => {
-                            summary.shed_over_deadline += 1;
-                            reg.inc(0, ids.shed_over_deadline);
-                            reg.add_labeled(ids.tenant_shed, client, 1);
-                            batch_shed += 1;
-                        }
-                    }
-                    if ran {
-                        reg.add(0, ids.transport_retries, done.retries as u64);
-                        reg.observe_ns(0, ids.session, (done.wall_ms * 1e6) as u64);
-                        ids.stages.observe(reg, 0, &done.trace);
-                        ids.fold_cost(reg, 0, &done.cost, client);
-                        summary.cost.absorb(&done.cost);
-                    }
-                    writeln!(output, "{}", done.line)?;
-                    if let Some(trace_line) = &done.trace_line {
-                        writeln!(output, "{trace_line}")?;
-                    }
-                    output.flush()?;
-                }
-                summary.failures += failed;
-                if jobs.len() < request.count {
-                    // The family filter matched nothing in the probe window
-                    // — surface it instead of silently under-delivering.
-                    summary.protocol_errors += 1;
-                    reg.inc(0, ids.protocol_errors);
-                    writeln!(
-                        output,
-                        "{}",
-                        ObjBuilder::event("reject")
-                            .str("reason", "bad_request")
-                            .str("code", "family_filter")
-                            .str(
-                                "message",
-                                &format!(
-                                    "only {} of {} requested sessions matched the family filter \
-                                     (known families: {:?})",
-                                    jobs.len(),
-                                    request.count,
-                                    crate::family_names()
-                                ),
-                            )
-                            .finish()
-                    )?;
-                }
-                let mut b = ObjBuilder::event("batch")
-                    .u64("requested", request.count as u64)
-                    .u64("completed", (accepted - (batch_shed - shed)) as u64)
-                    .u64("failed", failed as u64)
-                    .u64("shed", batch_shed as u64);
-                if let Some(tag) = &request.tag {
-                    b = b.str("tag", tag);
-                }
-                writeln!(output, "{}", b.finish())?;
-                output.flush()?;
-            }
-            Ok(())
+    let core = Core::new(opts);
+    let (tx, rx) = mpsc::channel();
+    let mut writer = ConnWriter::new(&mut output);
+    core.run(|_| {
+        let mut reader = ConnReader::new(&core, tx);
+        let mut lines = LineSplitter::default();
+        let mut chunk = [0u8; 8192];
+        let mut handle = |line: Result<&str, LineTooLong>| {
+            let go = reader.handle_line(line);
+            writer.settle(&rx);
+            go && writer.error.is_none()
         };
-        let result = pump(&mut summary);
-
-        // EOF (or error): drain the pool.
-        queue.close();
-        result
+        let read_error = loop {
+            match input.read(&mut chunk) {
+                Ok(0) => {
+                    lines.finish(&mut handle);
+                    break None;
+                }
+                Ok(n) if !lines.feed(&chunk[..n], &mut handle) => break None,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break Some(e),
+            }
+        };
+        if let Some(e) = read_error {
+            reader.reject("read_error", &e.to_string());
+        }
+        reader.finish();
+        writer.settle(&rx);
     });
-    io_result?;
-
-    summary.pool = counters.into_inner().unwrap_or_else(|e| e.into_inner());
+    if let Some(e) = writer.error {
+        return Err(e);
+    }
+    core.close_conn(&writer.ledger);
+    let summary = core.summary();
     let p = &summary.pool;
     // The metrics snapshot (when asked for) goes out before the drain
     // line so the drain line stays the stream's last word.
     if opts.emit_metrics {
-        writeln!(output, "{}", metrics_json(reg, true, Some(p)))?;
+        writeln!(output, "{}", metrics_json(&core.reg, true, Some(p)))?;
     }
-    writeln!(
-        output,
-        "{}",
-        ObjBuilder::event("drain")
-            .u64("batches", summary.batches as u64)
-            .u64("sessions", summary.sessions as u64)
-            .u64("failures", summary.failures as u64)
-            .u64("protocol_errors", summary.protocol_errors as u64)
-            .u64("submitted", summary.submitted as u64)
-            .u64("completed", summary.completed as u64)
-            .u64("shed_queue_full", summary.shed_queue_full as u64)
-            .u64("shed_over_deadline", summary.shed_over_deadline as u64)
-            .u64("deadline_exceeded", summary.deadline_exceeded as u64)
-            .u64("quarantined", summary.quarantined as u64)
-            .u64("transport_retries", summary.transport_retries as u64)
-            .bool("accounted", summary.accounted())
-            .u64("llm_calls", summary.cost.total_calls())
-            .u64("milli_cost", summary.cost.total_milli_cost())
-            .bool("cost_accounted", summary.cost.conserved())
-            .u64("workers", p.workers as u64)
-            .bool("pooling", opts.pool_managers)
-            .u64("manager_reuses", p.manager_reuses as u64)
-            .u64("manager_allocs", p.manager_allocs as u64)
-            .u64("manager_quarantined", p.quarantined as u64)
-            .f64("reuse_rate", p.reuse_rate(), 4)
-            .u64("peak_nodes", p.peak_nodes as u64)
-            .u64("space_cache_hits", p.cache_hits as u64)
-            .u64("space_cache_misses", p.cache_misses as u64)
-            .u64("snapshot_hits", p.snapshot_hits as u64)
-            .u64("snapshot_misses", p.snapshot_misses as u64)
-            .finish()
-    )?;
+    let drain = summary
+        .drain_fields(ObjBuilder::event("drain"))
+        .u64("workers", p.workers as u64)
+        .bool("pooling", opts.pool_managers)
+        .u64("manager_reuses", p.manager_reuses as u64)
+        .u64("manager_allocs", p.manager_allocs as u64)
+        .u64("manager_quarantined", p.quarantined as u64)
+        .f64("reuse_rate", p.reuse_rate(), 4)
+        .u64("peak_nodes", p.peak_nodes as u64)
+        .u64("space_cache_hits", p.cache_hits as u64)
+        .u64("space_cache_misses", p.cache_misses as u64)
+        .u64("snapshot_hits", p.snapshot_hits as u64)
+        .u64("snapshot_misses", p.snapshot_misses as u64)
+        .finish();
+    writeln!(output, "{drain}")?;
     output.flush()?;
     Ok(summary)
 }
@@ -1351,6 +1186,34 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("\"code\":\"bad_json\""), "{text}");
         assert!(text.contains("\"event\":\"drain\""), "{text}");
+    }
+
+    #[test]
+    fn serve_stops_at_an_overlong_line_and_drains() {
+        // A 10 MB line with no newline: a typed line_too_long reject
+        // after 64 KiB, then the stream stops and drains balanced.
+        let mut input = b"{\"count\":1}\n".to_vec();
+        input.resize(input.len() + (10 << 20), b'x');
+        let mut out = Vec::new();
+        let summary = serve(&input[..], &mut out, &ServeOptions::default()).expect("serve io");
+        assert_eq!(summary.sessions, 1);
+        assert_eq!(summary.protocol_errors, 1);
+        assert!(summary.accounted(), "{summary:?}");
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("\"code\":\"line_too_long\""), "{text}");
+        let last = text.lines().last().unwrap();
+        assert!(last.contains("\"event\":\"drain\""), "{last}");
+        assert!(last.contains("\"accounted\":true"), "{last}");
+    }
+
+    #[test]
+    fn non_utf8_bytes_are_a_bad_json_reject() {
+        let input = b"{\"count\":1}\n\xff\xfe{}\n{\"count\":1}\n";
+        let mut out = Vec::new();
+        let summary = serve(&input[..], &mut out, &ServeOptions::default()).expect("serve io");
+        assert_eq!((summary.sessions, summary.protocol_errors), (2, 1));
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("\"code\":\"bad_json\""), "{text}");
     }
 
     #[test]

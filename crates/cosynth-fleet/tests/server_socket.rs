@@ -193,6 +193,62 @@ fn deeply_nested_request_line_is_rejected_without_killing_the_daemon() {
 }
 
 #[test]
+fn an_overlong_line_is_rejected_and_the_daemon_keeps_serving() {
+    let daemon = start_daemon(
+        ServeOptions {
+            threads: 2,
+            ..Default::default()
+        },
+        false,
+    );
+    // One good batch, then a 10 MB line that never ends. The reader
+    // stops at the 64 KiB cap with a typed reject; the connection still
+    // finishes its batch and drains with a balanced ledger.
+    let stream = TcpStream::connect(daemon.addr).expect("connect");
+    let mut out = stream.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let _ = out.write_all(b"{\"use_case\":\"synthesis\",\"seed\":1,\"count\":1}\n");
+        // The daemon stops reading and closes: the write may fail.
+        let _ = out.write_all(&vec![b'x'; 10 << 20]);
+    });
+    let lines: Vec<Json> = BufReader::new(stream)
+        .lines()
+        .map_while(Result::ok)
+        .map(|l| json::parse(&l).expect("response line is JSON"))
+        .collect();
+    flood.join().unwrap();
+    let reject = lines
+        .iter()
+        .find(|v| event(v, "reject"))
+        .expect("reject line");
+    assert_eq!(
+        reject.get("code"),
+        Some(&Json::Str("line_too_long".into())),
+        "{lines:?}"
+    );
+    let batch = lines.iter().find(|v| event(v, "batch")).expect("batch");
+    assert_eq!(num(batch, "completed"), 1, "{lines:?}");
+    let drain = lines.iter().find(|v| event(v, "drain")).expect("drain");
+    assert_eq!(num(drain, "protocol_errors"), 1);
+    assert_eq!(num(drain, "sessions"), 1);
+    assert_eq!(drain.get("accounted"), Some(&Json::Bool(true)), "{drain:?}");
+
+    // The daemon survived and serves the next connection.
+    let next = transact(
+        daemon.addr,
+        &["{\"use_case\":\"repair\",\"seed\":1,\"count\":1}"],
+    );
+    let batch = next.iter().find(|v| event(v, "batch")).expect("batch");
+    assert_eq!(num(batch, "completed"), 1, "{next:?}");
+
+    transact(daemon.addr, &["{\"shutdown\":true}"]);
+    let summary = daemon.handle.join().unwrap().expect("daemon I/O ok");
+    assert_eq!(summary.sessions, 2, "{summary:?}");
+    assert_eq!(summary.protocol_errors, 1, "{summary:?}");
+    assert!(summary.accounted(), "{summary:?}");
+}
+
+#[test]
 fn shutdown_drains_in_flight_batches_without_losing_or_double_counting() {
     let daemon = start_daemon(
         ServeOptions {
