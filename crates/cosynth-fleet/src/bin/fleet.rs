@@ -98,10 +98,13 @@ FLAGS:
                         write BENCH_robustness.json. Combined with
                         --serve, applies the same fault schedule to
                         jobs read from stdin instead.
-    --queue-depth N     Admission control: max jobs one batch may
-                        enqueue; the excess is shed with a typed
-                        queue_full reject (default 1024; --chaos
-                        defaults to 8 so its oversized batch sheds).
+    --queue-depth N     Admission control: the admission queue's total
+                        depth, one fleet-wide cap shared by every batch
+                        and, under --listen, every connection. A batch
+                        is admitted up to the room left and the excess
+                        is shed with a typed queue_full reject (default
+                        1024; --chaos defaults to 8 so its oversized
+                        batch sheds).
     --deadline-ms MS    Per-session wall-clock budget: a session still
                         running past it stops at the next checkpoint
                         with the typed deadline_exceeded outcome
@@ -141,26 +144,15 @@ FLAGS:
                         session's trace into per-family stage
                         histograms, and write BENCH_telemetry.json
                         (default --out) instead of the usual reports.
-    --no-incremental    Full re-verification: after each rectification
-                        edit, re-check every device and re-run the
-                        whole-network sim, instead of only the edited
-                        device's dirty set (itself plus its internal
-                        BGP neighbors) with the sim deferred to the
-                        rounds that read it. Per-seed session content
-                        is byte-identical either way — this is the A/B
-                        lever --bench-scale measures.
-    --parallel-verify   Fan a session's initial per-device verification
-                        sweep — including its symbolic space builds —
-                        across scoped worker threads drawing BDD
-                        managers from the session's pool. Kicks in at
-                        8+ unverified devices; verdicts, witnesses, and
-                        warm caches are identical to the sequential
-                        sweep. Requires incremental verification.
     --bench-scale       Size sweep: run the repair fleet at --sessions/
                         --seed once per large family per verification
-                        mode (full, incremental, incremental+parallel),
-                        check per-seed session content is identical
-                        across the three modes, and write
+                        schedule: full re-verification (every device
+                        and the whole-network sim after each edit, the
+                        reference) and incremental (only the edited
+                        device and its internal BGP neighbors, the
+                        schedule every other mode runs). Checks per-seed
+                        session content is identical across the two
+                        and writes
                         BENCH_scale.json (default --out) with
                         sessions/s and the wall-clock spread vs router
                         count. --families may name a subset of the
@@ -217,8 +209,6 @@ struct Args {
     dump_scenario: Option<usize>,
     backend: BackendChoice,
     bench_backends: bool,
-    incremental: bool,
-    parallel_verify: bool,
     bench_scale: bool,
 }
 
@@ -252,8 +242,6 @@ fn parse_args(argv: &[String]) -> Args {
         dump_scenario: None,
         backend: BackendChoice::default(),
         bench_backends: false,
-        incremental: true,
-        parallel_verify: false,
         bench_scale: false,
     };
     let mut backend_set = false;
@@ -282,8 +270,6 @@ fn parse_args(argv: &[String]) -> Args {
             "--no-pool" => args.pool_managers = false,
             "--no-baseline" => args.measure_baseline = false,
             "--bench-backends" => args.bench_backends = true,
-            "--no-incremental" => args.incremental = false,
-            "--parallel-verify" => args.parallel_verify = true,
             "--bench-scale" => args.bench_scale = true,
             "--backend" => {
                 let v = value(&mut i, "--backend");
@@ -358,12 +344,6 @@ fn parse_args(argv: &[String]) -> Args {
             "--backend and --route are mutually exclusive (--route picks its own tier ladder)",
         );
     }
-    if args.parallel_verify && !args.incremental {
-        usage_error(
-            "--parallel-verify requires incremental verification (drop --no-incremental); \
-             the parallel sweep is the incremental verifier's prefill",
-        );
-    }
     validate_families(&args);
     args
 }
@@ -426,10 +406,6 @@ fn tuning_of(args: &Args) -> SessionTuning {
             ..Default::default()
         },
         backend: args.backend,
-        verify: VerifyMode {
-            incremental: args.incremental,
-            parallel: args.parallel_verify,
-        },
         scenario_family: pinned_family(args),
         ..Default::default()
     }
@@ -1006,22 +982,9 @@ struct ScaleLeg {
 /// incremental verifier's A/B evidence that session cost scales with
 /// the edit rather than the network.
 fn run_bench_scale(args: &Args) {
-    let modes: [(&'static str, VerifyMode); 3] = [
+    let modes = [
         ("full", VerifyMode::full()),
-        (
-            "incremental",
-            VerifyMode {
-                incremental: true,
-                parallel: false,
-            },
-        ),
-        (
-            "incremental-parallel",
-            VerifyMode {
-                incremental: true,
-                parallel: true,
-            },
-        ),
+        ("incremental", VerifyMode::default()),
     ];
     // Sweep smallest-first so a contract failure surfaces cheaply;
     // --families restricts the sweep (validated large-only).
@@ -1103,19 +1066,18 @@ fn run_bench_scale(args: &Args) {
             );
             contract_ok = false;
         }
-        let speedup = legs[0].wall.median / legs[2].wall.median.max(f64::MIN_POSITIVE);
+        let speedup = legs[0].wall.median / legs[1].wall.median.max(f64::MIN_POSITIVE);
         println!(
             "scale: {family:<14} {routers:>3} routers | full {:>8.1} ms | incr {:>8.1} ms | \
-             incr+par {:>8.1} ms | speedup {speedup:.2}x | content {}",
+             speedup {speedup:.2}x | content {}",
             legs[0].wall.median,
             legs[1].wall.median,
-            legs[2].wall.median,
             if identical { "identical" } else { "DIVERGED" }
         );
         families.push((family, routers, legs, identical));
     }
 
-    // Contract: at the largest family, incremental+parallel beats full
+    // Contract: at the largest family, incremental beats full
     // re-verification ≥3× on median session wall-clock; and the
     // per-edit cost grows sub-linearly in router count across the
     // sweep. Per-edit cost is estimated by the p10 session wall — the
@@ -1127,7 +1089,7 @@ fn run_bench_scale(args: &Args) {
     // recorded in the contract for transparency.
     let (largest, largest_routers, largest_legs, _) = families.last().expect("non-empty sweep");
     let largest_speedup =
-        largest_legs[0].wall.median / largest_legs[2].wall.median.max(f64::MIN_POSITIVE);
+        largest_legs[0].wall.median / largest_legs[1].wall.median.max(f64::MIN_POSITIVE);
     let (smallest, smallest_routers, smallest_legs, _) = families.first().expect("non-empty");
     let median_growth =
         largest_legs[1].wall.median / smallest_legs[1].wall.median.max(f64::MIN_POSITIVE);
@@ -1144,7 +1106,7 @@ fn run_bench_scale(args: &Args) {
     };
     if largest_speedup < 3.0 {
         eprintln!(
-            "fleet: scale contract: incremental+parallel is only {largest_speedup:.2}x \
+            "fleet: scale contract: incremental is only {largest_speedup:.2}x \
              faster than full at {largest} ({largest_routers} routers); the bar is 3x"
         );
         contract_ok = false;
@@ -1172,8 +1134,8 @@ fn run_bench_scale(args: &Args) {
         );
         let _ = writeln!(
             out,
-            "      \"speedup_incremental_parallel_vs_full\": {:.4},",
-            legs[0].wall.median / legs[2].wall.median.max(f64::MIN_POSITIVE)
+            "      \"speedup_incremental_vs_full\": {:.4},",
+            legs[0].wall.median / legs[1].wall.median.max(f64::MIN_POSITIVE)
         );
         let _ = writeln!(out, "      \"modes\": {{");
         for (li, leg) in legs.iter().enumerate() {

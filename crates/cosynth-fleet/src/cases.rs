@@ -110,7 +110,6 @@ pub fn run_session_tuned(
     let session = SynthesisSession {
         budget: tuning.budget,
         retry: session_retry(tuning, llm_seed),
-        verify: tuning.verify,
         ..Default::default()
     };
     let t0 = Instant::now();

@@ -115,10 +115,13 @@ pub struct SessionTuning {
     /// historical `simulated-gpt4` — byte-identical session content to
     /// the pre-backend fleet.
     pub backend: BackendChoice,
-    /// Re-verification strategy (incremental dirty-set bookkeeping and
-    /// the parallel sweep fan-out; see `cosynth::incremental`). Per-seed
-    /// session content is byte-identical across modes — the `fleet`
-    /// flags `--no-incremental` / `--parallel-verify` map onto this.
+    /// Re-verification schedule of repair sessions (see
+    /// `cosynth::incremental`). The default, incremental, is what every
+    /// fleet, daemon and benchmark run uses; `VerifyMode::full()` is the
+    /// reference that the determinism tests, `--bench-scale` and the
+    /// benchmark oracle compare it against. Per-seed session content is
+    /// byte-identical between the two. Synthesis sessions ignore it:
+    /// they re-check only the router being drafted.
     pub verify: cosynth::VerifyMode,
     /// Pin every session to one named scenario family instead of the
     /// default rotation — how the large internet-scale families

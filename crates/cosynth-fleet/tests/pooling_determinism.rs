@@ -10,9 +10,23 @@
 //! `VerifierContext::begin_session` makes each session start from an
 //! observationally fresh cache.
 
-use cosynth_fleet::{run_case, FleetConfig, Repair, SessionTuning, Synthesis};
+use cosynth::VerifierContext;
+use cosynth_fleet::{
+    run_case, run_repair_session_tuned, FleetConfig, Repair, RepairSessionResult, SessionTuning,
+    Synthesis,
+};
 
 const SESSIONS: usize = 16;
+
+/// The repair fleet's sessions on one context, in index order. A
+/// session's `space_hits`/`space_misses` depend on which earlier
+/// sessions the context's verdict memo saw, which a work-stealing pool
+/// varies from run to run; one context in a fixed order pins them.
+fn repair_in_order(mut ctx: VerifierContext) -> Vec<RepairSessionResult> {
+    (0..SESSIONS)
+        .map(|index| run_repair_session_tuned(1, index, &mut ctx, &SessionTuning::default()))
+        .collect()
+}
 
 fn cfg(pool_managers: bool) -> FleetConfig {
     FleetConfig {
@@ -82,11 +96,15 @@ fn pooled_and_fresh_repair_fleets_are_byte_identical() {
         assert_eq!(a.rounds, b.rounds, "session {}", a.index);
         assert_eq!(a.localized, b.localized, "session {}", a.index);
         assert_eq!((a.auto, a.human), (b.auto, b.human), "session {}", a.index);
-        // Even the space-cache profile is identical: pooling changes
-        // where managers come from, never what the cache does.
+        assert_eq!(a.panicked, b.panicked, "session {}", a.index);
+    }
+    // Even the space-cache profile is identical: pooling changes where
+    // managers come from, never what the cache does.
+    let fresh_order = repair_in_order(VerifierContext::without_pooling());
+    let pooled_order = repair_in_order(VerifierContext::new());
+    for (a, b) in fresh_order.iter().zip(&pooled_order) {
         assert_eq!(a.space_hits, b.space_hits, "session {}", a.index);
         assert_eq!(a.space_misses, b.space_misses, "session {}", a.index);
-        assert_eq!(a.panicked, b.panicked, "session {}", a.index);
     }
     // The peak arena is a property of the session content, so both
     // shapes observe the same high-water mark.

@@ -9,7 +9,10 @@
 //! difference a multi-tier route produces is attributable to routing
 //! policy alone, never to the wrapper.
 
-use cosynth_fleet::{run_case, FleetConfig, Repair, SessionTuning, Synthesis};
+use cosynth::VerifierContext;
+use cosynth_fleet::{
+    run_case, run_repair_session_tuned, FleetConfig, RepairSessionResult, SessionTuning, Synthesis,
+};
 use llm_sim::{BackendChoice, Tier};
 
 const SESSIONS: usize = 16;
@@ -64,12 +67,27 @@ fn single_tier_cascade_matches_direct_backend_for_synthesis() {
     }
 }
 
+/// The repair fleet on one resident context, in index order. Per-session
+/// `space_hits`/`space_misses` depend on which earlier sessions the
+/// context's verdict memo saw, so a work-stealing pool would make them
+/// vary from run to run; one context in a fixed order pins them.
+fn repair_in_order(backend: BackendChoice) -> Vec<RepairSessionResult> {
+    let tuning = SessionTuning {
+        backend,
+        ..SessionTuning::default()
+    };
+    let mut ctx = VerifierContext::new();
+    (0..SESSIONS)
+        .map(|index| run_repair_session_tuned(1, index, &mut ctx, &tuning))
+        .collect()
+}
+
 #[test]
 fn single_tier_cascade_matches_direct_backend_for_repair() {
     for tier in Tier::ALL {
-        let direct = run_case::<Repair>(&cfg(BackendChoice::Tier(tier)));
-        let cascade = run_case::<Repair>(&cfg(BackendChoice::CascadeOf(tier)));
-        for (a, b) in direct.results.iter().zip(&cascade.results) {
+        let direct = repair_in_order(BackendChoice::Tier(tier));
+        let cascade = repair_in_order(BackendChoice::CascadeOf(tier));
+        for (a, b) in direct.iter().zip(&cascade) {
             let at = (tier.name(), a.index);
             assert_eq!(a.index, b.index);
             assert_eq!(a.scenario, b.scenario, "{at:?}");

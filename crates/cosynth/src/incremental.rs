@@ -22,7 +22,7 @@
 //!   already be sound; the BGP neighborhood is the honest bound on
 //!   reachability influence and is what the soundness property test
 //!   pins.
-//! * [`IncrementalVerifier`] memoizes the two per-device verdicts the
+//! * `IncrementalVerifier` memoizes the two per-device verdicts the
 //!   sweep computes — the *local* verdict (parse warnings → topology
 //!   verifier → symbolic local checks) and the *campion* verdict (the
 //!   structural/behavioral diff against the router's intent) — and
@@ -45,38 +45,23 @@
 //! intent and fault per session, so almost everything a session derives
 //! from the scenario is derivable once per family:
 //!
-//! * [`SessionStatics`] — the assignments, the per-device memo-key
+//! * `SessionStatics` — the assignments, the per-device memo-key
 //!   bases, the name→index map, and the dependency tracker — is a pure
 //!   function of `(topology, policies)` and is shared through an `Arc`
 //!   in the context's clean-snapshot cache, which is keyed exactly on
 //!   that pair ([`VerifierContext::clean_snapshot`]); a later session
 //!   pays one compare of the topology instead of re-deriving ~n prompts
 //!   and keys.
-//! * [`VerdictMemo`] keeps per-device local/campion verdicts and whole
+//! * `VerdictMemo` keeps per-device local/campion verdicts and whole
 //!   `GlobalCheckReport`s keyed by content fingerprints, so a warm
 //!   worker answers the sweeps and the final simulation of session
 //!   *k+1* from session *k*'s work.
-//!
-//! ## Parallel mode
-//!
-//! With [`VerifyMode::parallel`] the one-time O(n) sweeps fan out over
-//! scoped threads: each missing local verdict is computed standalone on
-//! a worker with a pooled BDD manager from the [`VerifierContext`]
-//! (spaces built via `bf_lite::space_for_checks_in` come back with
-//! their fingerprint and are installed warm into the session cache),
-//! and missing campion verdicts are chunked across workers that each
-//! reuse one pooled manager for their whole chunk (campion findings are
-//! canonical regardless of manager history). Per-device verdicts are
-//! pure, so the fan-out returns the same first-in-assignment-order
-//! localization the sequential sweep returns; the only difference is
-//! that a parallel round computes *all* missing verdicts instead of
-//! early-exiting, which pre-warms later rounds.
 //!
 //! ## What "byte-identical" excludes
 //!
 //! Per-seed session **content** — configs, repaired, rounds,
 //! localizations, the global report, leverage, the prompt log, cost —
-//! is identical across full / incremental / incremental+parallel; the
+//! is identical between full and incremental re-verification; the
 //! fleet A/B test pins this. Wall-clock, trace span *counts* (skipped
 //! parses, deferred sims), and space-cache/pool counters necessarily
 //! differ between modes and are excluded from the identity.
@@ -85,10 +70,10 @@ use crate::modularizer::{Modularizer, RouterAssignment};
 use crate::repair::{self, Localization};
 use crate::verifier_ctx::VerifierContext;
 use bdd::FxHasher;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::hash::{Hash as _, Hasher as _};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use topo_model::Scenario;
 
@@ -111,35 +96,26 @@ impl std::fmt::Write for HashWriter<'_> {
     }
 }
 
-/// Re-verification strategy for a session. Default: incremental on,
-/// parallel off — the `--no-incremental` / `--parallel-verify` fleet
-/// flags map straight onto the two fields.
+/// Re-verification schedule for a session. Default: incremental, the
+/// one schedule sessions run; [`VerifyMode::full`] is the reference
+/// that tests and oracles compare incremental content against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyMode {
     /// Memoize per-device verdicts across rounds and re-verify only the
     /// dirty set after each edit (plus defer unobservable sims).
     pub incremental: bool,
-    /// Fan the one-time per-device sweeps out over scoped threads with
-    /// pooled managers. Implies the incremental bookkeeping.
-    pub parallel: bool,
 }
 
 impl Default for VerifyMode {
     fn default() -> Self {
-        VerifyMode {
-            incremental: true,
-            parallel: false,
-        }
+        VerifyMode { incremental: true }
     }
 }
 
 impl VerifyMode {
     /// The historical schedule: full re-verification every round.
     pub fn full() -> Self {
-        VerifyMode {
-            incremental: false,
-            parallel: false,
-        }
+        VerifyMode { incremental: false }
     }
 }
 
@@ -324,10 +300,9 @@ const CROSS_FLOOR: usize = 256;
 /// frees at least a quarter of the map (inserts stay amortized O(1)),
 /// and a session never loses what it wrote itself unless it alone
 /// overflows the map. Eviction only costs recomputation, never
-/// correctness. The stamps are atomics so sweeps on scoped threads can
-/// read the map through a shared reference.
+/// correctness.
 struct Bounded<V> {
-    map: HashMap<MemoKey, (V, AtomicUsize)>,
+    map: HashMap<MemoKey, (V, Cell<usize>)>,
     cap: usize,
     /// The session in flight, as counted by [`VerdictMemo::begin_session`].
     session: usize,
@@ -346,7 +321,7 @@ impl<V> Default for Bounded<V> {
 impl<V> Bounded<V> {
     fn get(&self, key: &MemoKey) -> Option<&V> {
         let (value, touched) = self.map.get(key)?;
-        touched.store(self.session, Relaxed);
+        touched.set(self.session);
         Some(value)
     }
 
@@ -354,16 +329,15 @@ impl<V> Bounded<V> {
         if self.map.len() >= self.cap {
             let now = self.session;
             let room = self.cap * 3 / 4;
-            self.map.retain(|_, (_, t)| *t.get_mut() + 1 >= now);
+            self.map.retain(|_, (_, t)| t.get() + 1 >= now);
             if self.map.len() > room {
-                self.map.retain(|_, (_, t)| *t.get_mut() == now);
+                self.map.retain(|_, (_, t)| t.get() == now);
             }
             if self.map.len() > room {
                 self.map.clear();
             }
         }
-        self.map
-            .insert(key, (value, AtomicUsize::new(self.session)));
+        self.map.insert(key, (value, Cell::new(self.session)));
     }
 
     /// Opens the next session, growing the capacity to fit a network of
@@ -389,8 +363,8 @@ impl<V> Bounded<V> {
 /// pairs; a wrong answer needs a collision on both halves
 /// simultaneously (~2⁻¹²⁸ per candidate pair), which is treated as
 /// impossible. Only the **incremental** verifier consults the memo —
-/// `--no-incremental` keeps the historical recompute-everything path
-/// untouched — and hits return clones of pure values, so session
+/// the full reference schedule keeps the historical recompute-everything
+/// path untouched — and hits return clones of pure values, so session
 /// content stays byte-identical across modes and across worker
 /// placements.
 #[derive(Default)]
@@ -433,7 +407,6 @@ impl VerdictMemo {
 /// `RepairSession::run_in` when [`VerifyMode::incremental`] is on.
 pub(crate) struct IncrementalVerifier {
     statics: Arc<SessionStatics>,
-    parallel: bool,
     /// FxHash of everything `check_scenario` reads besides the configs:
     /// the topology fingerprint plus the expectations. Scenarios at
     /// different indices that share topology and intent collide here on
@@ -446,32 +419,11 @@ pub(crate) struct IncrementalVerifier {
     campion: Vec<Option<MemoEntry>>,
 }
 
-/// Below this many missing verdicts the fan-out costs more than it
-/// saves (thread spawn + manager shuffling); the sweep stays sequential.
-const PARALLEL_THRESHOLD: usize = 8;
-
-/// Upper bound on worker threads for one fan-out.
-const MAX_WORKERS: usize = 8;
-
 /// A worker-memo key: `(input fingerprint, config-text fingerprint)`.
 type MemoKey = (u64, u64);
-/// One local-prefill work item: device index, memo key, pooled manager.
-type LocalItem = (usize, MemoKey, bdd::Manager);
-/// One campion-prefill work item: device index, campion key, local key
-/// (the local key lets a worker reuse the memoized parse).
-type CampionItem = (usize, MemoKey, MemoKey);
-
-fn worker_count(items: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_WORKERS)
-        .min(items)
-        .max(1)
-}
 
 impl IncrementalVerifier {
-    pub(crate) fn new(scenario: &Scenario, parallel: bool, ctx: &mut VerifierContext) -> Self {
+    pub(crate) fn new(scenario: &Scenario, ctx: &mut VerifierContext) -> Self {
         // The statics and the `(topology, policies)` fingerprints come
         // out of the context's clean-snapshot cache: on a pinned family
         // the session pays one topology compare, no O(network) hashing.
@@ -486,7 +438,6 @@ impl IncrementalVerifier {
         ctx.memo.begin_session(n);
         IncrementalVerifier {
             statics,
-            parallel,
             scenario_hash: h.finish(),
             sweep_base: sb.finish(),
             local: vec![None; n],
@@ -595,9 +546,6 @@ impl IncrementalVerifier {
         ctx: &mut VerifierContext,
     ) -> Option<Localization> {
         let statics = Arc::clone(&self.statics);
-        if self.parallel {
-            self.prefill_local(scenario, &statics, configs, ctx);
-        }
         for (i, assignment) in statics.assignments.iter().enumerate() {
             let Some(text) = configs.get(&assignment.name) else {
                 continue;
@@ -645,9 +593,6 @@ impl IncrementalVerifier {
             if verdict.is_some() {
                 return verdict;
             }
-        }
-        if self.parallel {
-            self.prefill_campion(&statics, configs, ctx);
         }
         for (i, assignment) in statics.assignments.iter().enumerate() {
             let Some(text) = configs.get(&assignment.name) else {
@@ -702,190 +647,6 @@ impl IncrementalVerifier {
         }
         None
     }
-
-    /// Computes every missing local verdict on scoped worker threads.
-    /// Each worker takes a chunk of devices and one pooled manager per
-    /// device (the same count the sequential sweep would pin in the
-    /// cache); built spaces come back with their fingerprint and are
-    /// installed warm, so the post-fill sequential pass is all memo
-    /// hits and the cache is exactly as warm as a sequential sweep
-    /// would have left it.
-    fn prefill_local(
-        &mut self,
-        scenario: &Scenario,
-        statics: &SessionStatics,
-        configs: &BTreeMap<String, String>,
-        ctx: &mut VerifierContext,
-    ) {
-        // Resolve worker-memo hits inline first — a warm worker answers
-        // most of the sweep without touching a thread — and fan out only
-        // the true misses.
-        let mut todo: Vec<(usize, MemoKey)> = Vec::new();
-        for (i, a) in statics.assignments.iter().enumerate() {
-            if self.local[i].is_some() {
-                continue;
-            }
-            let Some(text) = configs.get(&a.name) else {
-                continue;
-            };
-            let textfx = fx(text.as_bytes());
-            let tkey = (statics.keys[i].local, textfx);
-            match ctx.memo.local.get(&tkey) {
-                Some(c) => {
-                    ctx.memo.hits += 1;
-                    self.local[i] = Some(MemoEntry {
-                        textfx,
-                        verdict: c.verdict.clone(),
-                    });
-                }
-                None => todo.push((i, tkey)),
-            }
-        }
-        if todo.len() < PARALLEL_THRESHOLD {
-            return;
-        }
-        let workers = worker_count(todo.len());
-        let mut work: Vec<Vec<LocalItem>> = (0..workers).map(|_| Vec::new()).collect();
-        for (j, (i, tkey)) in todo.into_iter().enumerate() {
-            work[j % workers].push((i, tkey, ctx.pool.acquire()));
-        }
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|chunk| {
-                    s.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(i, tkey, mgr)| {
-                                let a = &statics.assignments[i];
-                                let text = configs[&a.name].as_str();
-                                let (device, verdict, built) =
-                                    repair::local_verdict_standalone(scenario, a, text, mgr);
-                                (i, tkey, device, verdict, built)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("local-verdict worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (i, tkey, device, verdict, built) in results {
-            match built {
-                Ok((fingerprint, space)) => {
-                    let start = std::time::Instant::now();
-                    ctx.cache.install(
-                        &mut ctx.pool,
-                        &statics.assignments[i].name,
-                        fingerprint,
-                        space,
-                    );
-                    // The build itself ran on a worker; the span records
-                    // the install so SpaceBuild counts still mirror the
-                    // cache's miss counter.
-                    ctx.trace
-                        .record(telemetry::Stage::SpaceBuild, start.elapsed());
-                }
-                Err(mgr) => ctx.pool.release(mgr),
-            }
-            ctx.memo.misses += 1;
-            ctx.memo.local.insert(
-                tkey,
-                CachedLocal {
-                    device,
-                    verdict: verdict.clone(),
-                },
-            );
-            self.local[i] = Some(MemoEntry {
-                textfx: tkey.1,
-                verdict,
-            });
-        }
-    }
-
-    /// Computes every missing campion verdict on scoped worker threads;
-    /// each worker reuses one pooled manager across its whole chunk.
-    fn prefill_campion(
-        &mut self,
-        statics: &SessionStatics,
-        configs: &BTreeMap<String, String>,
-        ctx: &mut VerifierContext,
-    ) {
-        // Same shape as the local prefill: worker-memo hits inline,
-        // threads only for the misses. Each fan-out item carries both
-        // its campion key and its local key so a worker can reuse the
-        // memoized parse instead of re-parsing the text.
-        let mut todo: Vec<CampionItem> = Vec::new();
-        for (i, a) in statics.assignments.iter().enumerate() {
-            if self.campion[i].is_some() {
-                continue;
-            }
-            let Some(text) = configs.get(&a.name) else {
-                continue;
-            };
-            let keys = statics.keys[i];
-            let textfx = fx(text.as_bytes());
-            let ckey = (keys.campion, textfx);
-            match ctx.memo.campion.get(&ckey) {
-                Some(v) => {
-                    ctx.memo.hits += 1;
-                    self.campion[i] = Some(MemoEntry {
-                        textfx,
-                        verdict: v.clone(),
-                    });
-                }
-                None => todo.push((i, ckey, (keys.local, textfx))),
-            }
-        }
-        if todo.len() < PARALLEL_THRESHOLD {
-            return;
-        }
-        let workers = worker_count(todo.len());
-        let mut work: Vec<(Vec<CampionItem>, bdd::Manager)> = (0..workers)
-            .map(|_| (Vec::new(), ctx.pool.acquire()))
-            .collect();
-        for (j, item) in todo.into_iter().enumerate() {
-            work[j % workers].0.push(item);
-        }
-        let memo = &ctx.memo;
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|(chunk, mut mgr)| {
-                    s.spawn(move || {
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for (i, ckey, lkey) in chunk {
-                            let a = &statics.assignments[i];
-                            let text = configs[&a.name].as_str();
-                            let device = match memo.local.get(&lkey) {
-                                Some(c) => c.device.clone(),
-                                None => repair::parse_device(text, &a.name).device,
-                            };
-                            let (verdict, back) =
-                                repair::campion_verdict_with(a, text, &device, mgr);
-                            mgr = back;
-                            out.push((i, ckey, lkey.1, verdict));
-                        }
-                        (out, mgr)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campion worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (chunk, mgr) in results {
-            ctx.pool.release(mgr);
-            for (i, ckey, textfx, verdict) in chunk {
-                ctx.memo.misses += 1;
-                ctx.memo.campion.insert(ckey, verdict.clone());
-                self.campion[i] = Some(MemoEntry { textfx, verdict });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -929,13 +690,7 @@ mod tests {
 
     #[test]
     fn default_mode_is_incremental_sequential() {
-        assert_eq!(
-            VerifyMode::default(),
-            VerifyMode {
-                incremental: true,
-                parallel: false
-            }
-        );
+        assert_eq!(VerifyMode::default(), VerifyMode { incremental: true });
         assert!(!VerifyMode::full().incremental);
     }
 
@@ -1001,13 +756,13 @@ mod tests {
             .find(|s| s.intent == a.intent)
             .expect("some later index repeats the intent");
         assert_eq!(a.policies, b.policies, "same intent, same policies");
-        let v1 = IncrementalVerifier::new(&a, false, &mut ctx);
-        let v2 = IncrementalVerifier::new(&b, false, &mut ctx);
+        let v1 = IncrementalVerifier::new(&a, &mut ctx);
+        let v2 = IncrementalVerifier::new(&b, &mut ctx);
         assert!(Arc::ptr_eq(&v1.statics, &v2.statics));
         let c = scenario_gen::generate_family("as-graph-64", 4, 0);
         let mut c2 = c.clone();
         c2.policies = a.policies.clone();
-        let v3 = IncrementalVerifier::new(&c2, false, &mut ctx);
+        let v3 = IncrementalVerifier::new(&c2, &mut ctx);
         assert!(
             !Arc::ptr_eq(&v1.statics, &v3.statics),
             "a different topology must not share statics even with equal policies"

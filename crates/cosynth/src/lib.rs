@@ -39,9 +39,10 @@
 //!   (`run_scenario_in` / `run_in` are the pooled session entry points).
 //! * Incremental re-verification → [`incremental`]: the dependency
 //!   tracker + per-device verdict memo that make repair-session cost
-//!   scale with the edit instead of the network, plus the parallel
-//!   sweep fan-out ([`VerifyMode`] selects the strategy; content is
-//!   byte-identical across modes).
+//!   scale with the edit instead of the network. Incremental is the one
+//!   schedule sessions run; [`VerifyMode::full`] keeps full
+//!   re-verification as the reference it is tested against (content is
+//!   byte-identical between the two).
 
 pub mod composer;
 pub mod humanizer;

@@ -89,14 +89,6 @@ pub struct SynthesisSession {
     pub budget: SessionBudget,
     /// Transport retry policy.
     pub retry: RetryPolicy,
-    /// Re-verification strategy, accepted for API uniformity with
-    /// [`crate::RepairSession`]. The synthesis loop is already
-    /// edit-local by construction — each rectification round re-checks
-    /// exactly the router being drafted, and a draft's symbolic space
-    /// can only be built once its text exists — so every mode runs the
-    /// same work and the flag is a content, trace, and counter no-op
-    /// here; the fleet A/B test pins that too.
-    pub verify: crate::incremental::VerifyMode,
 }
 
 impl Default for SynthesisSession {
@@ -108,7 +100,6 @@ impl Default for SynthesisSession {
             max_global_attempts: 6,
             budget: SessionBudget::default(),
             retry: RetryPolicy::default(),
-            verify: crate::incremental::VerifyMode::default(),
         }
     }
 }
